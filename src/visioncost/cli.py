@@ -8,8 +8,6 @@ parse failure, 3 infeasible request, 64 usage error.
 
 Outputs are byte-deterministic for identical inputs (the run manifest's
 timestamp aside) and files are written atomically via temp-and-rename.
-No environment variable changes any result; ``VISIONCOST_BACKEND`` only
-selects the Pareto kernel implementation, which is output-identical.
 """
 
 from __future__ import annotations
@@ -20,6 +18,7 @@ import hashlib
 import io
 import json
 import logging
+import math
 import os
 import re
 import sys
@@ -325,7 +324,7 @@ def read_frontier_csv(path: str | Path) -> tuple[list[FrontierPoint], list[str]]
         )
     metrics = list(header[len(FRONTIER_COLUMNS) :])
     points: list[FrontierPoint] = []
-    for row in reader:
+    for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
         annotations = {
@@ -333,6 +332,8 @@ def read_frontier_csv(path: str | Path) -> tuple[list[FrontierPoint], list[str]]
             for m, cell in zip(metrics, row[len(FRONTIER_COLUMNS) :])
             if cell != ""
         }
+        if not all(map(math.isfinite, annotations.values())):
+            raise ValueError(f"line {lineno}: metric values must be finite")
         points.append(
             FrontierPoint(
                 config_id=row[0],

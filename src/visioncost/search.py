@@ -12,14 +12,12 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import groupby, product
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
-from ._pareto import dominated_mask
 from .arch import ArchSpec, EvalConfig, ViTSpec
 from .cost import CostReport, InfeasibleResolution, cost_report
 from .scaling import (
@@ -138,10 +136,11 @@ class FrontierPoint:
     total_memory_bytes: int
     annotations: Mapping[str, float] = field(default_factory=dict)
 
-    def objective_value(self, key: str) -> float:
+    def objective_value(self, key: str) -> int | float:
+        """The native value: an exact int for a cost total, else the annotation."""
         if key in ("flops", "peak_activation_bytes", "model_bytes", "total_memory_bytes"):
-            return float(getattr(self, key))
-        return float(self.annotations[key])
+            return getattr(self, key)
+        return self.annotations[key]
 
 
 def point_from_report(
@@ -161,12 +160,12 @@ def frontier_points(
     configs: Iterable[ScaledConfig], table: "AnnotationTable | None" = None
 ) -> list[FrontierPoint]:
     """Cost every configuration and attach any annotations it has."""
+    annotations = table.by_config() if table is not None else {}
     points = []
     for config in configs:
         report = cost_report(config.spec, config.eval)
         cid = config.config_id
-        ann = table.for_config(cid) if table is not None else {}
-        points.append(point_from_report(cid, report, ann))
+        points.append(point_from_report(cid, report, annotations.get(cid)))
     return points
 
 
@@ -186,25 +185,73 @@ def pareto_front(
     improvement; points with identical objective vectors are all kept.
     Duplicate config ids collapse to their first occurrence, the result is
     ordered by config id, and the filter is idempotent.
+
+    Objectives are compared as native Python values ("max" ones negated),
+    so int totals stay exact at any size and mix exactly with annotation
+    floats. A NaN objective raises ``ValueError``. With one or two
+    objectives the filter is a sort and a sweep, O(n log n) (Kung, Luccio &
+    Preparata, J. ACM 1975); with three or more it scans the sorted points
+    against the front found so far, O(n * front size), whose worst case is
+    an anti-correlated input where every point is on the front.
     """
     if not points:
         raise ValueError("pareto_front needs at least one point")
     if not objectives:
         raise ValueError("pareto_front needs at least one objective")
+    for _, direction in objectives:
+        if direction not in ("min", "max"):
+            raise ValueError(f"objective direction must be 'min' or 'max', got {direction!r}")
     seen: dict[str, FrontierPoint] = {}
     for p in points:
         seen.setdefault(p.config_id, p)
-    unique = list(seen.values())
-    matrix = np.empty((len(unique), len(objectives)), dtype=np.float64)
-    for col, (key, direction) in enumerate(objectives):
-        if direction not in ("min", "max"):
-            raise ValueError(f"objective direction must be 'min' or 'max', got {direction!r}")
-        sign = 1.0 if direction == "min" else -1.0
-        for row, p in enumerate(unique):
-            matrix[row, col] = sign * p.objective_value(key)
-    mask = dominated_mask(matrix)
-    kept = [p for p, dom in zip(unique, mask) if not dom]
+    keyed: list[tuple[tuple, FrontierPoint]] = []
+    for p in seen.values():
+        vector = tuple(
+            p.objective_value(key) if direction == "min" else -p.objective_value(key)
+            for key, direction in objectives
+        )
+        if any(v != v for v in vector):
+            raise ValueError(f"config {p.config_id} has a NaN objective")
+        keyed.append((vector, p))
+    keyed.sort(key=lambda item: item[0])
+    kept = _sweep_front(keyed) if len(objectives) <= 2 else _scan_front(keyed)
     return sorted(kept, key=lambda p: p.config_id)
+
+
+def _sweep_front(keyed: list[tuple[tuple, FrontierPoint]]) -> list[FrontierPoint]:
+    """Front of lexicographically sorted 1- or 2-objective vectors.
+
+    Within a group of equal first objective the leading members hold the
+    group's least last objective; they survive only when it is strictly
+    below every earlier group's. With one objective the last is the first,
+    so only the least group survives.
+    """
+    kept: list[FrontierPoint] = []
+    best = None
+    for _, group in groupby(keyed, key=lambda item: item[0][0]):
+        members = list(group)
+        least = members[0][0][-1]
+        if best is None or least < best:
+            best = least
+            kept.extend(p for vector, p in members if vector[-1] == least)
+    return kept
+
+
+def _scan_front(keyed: list[tuple[tuple, FrontierPoint]]) -> list[FrontierPoint]:
+    """Front of lexicographically sorted vectors of any length.
+
+    A dominating vector sorts before the one it dominates, and dominance is
+    transitive, so a point is dominated exactly when a front point found
+    before it dominates it.
+    """
+    front: list[tuple[tuple, FrontierPoint]] = []
+    for vector, p in keyed:
+        if not any(
+            other != vector and all(a <= b for a, b in zip(other, vector))
+            for other, _ in front
+        ):
+            front.append((vector, p))
+    return [p for _, p in front]
 
 
 # --------------------------------------------------------------------------
@@ -258,6 +305,8 @@ class AnnotationTable:
                 value = float(raw)
             except ValueError:
                 raise ValueError(f"line {lineno}: value {raw!r} is not a number") from None
+            if not math.isfinite(value):
+                raise ValueError(f"line {lineno}: value {raw!r} is not finite")
             first_line[key] = lineno
             table.values[key] = value
         return table
@@ -266,11 +315,16 @@ class AnnotationTable:
         return self.values.get((config_id, metric))
 
     def for_config(self, config_id: str) -> dict[str, float]:
-        return {
-            metric: value
-            for (cid, metric), value in sorted(self.values.items())
-            if cid == config_id
-        }
+        return dict(
+            sorted((m, value) for (cid, m), value in self.values.items() if cid == config_id)
+        )
+
+    def by_config(self) -> dict[str, dict[str, float]]:
+        """Every config's annotations, each ordered by metric, in one pass."""
+        grouped: dict[str, dict[str, float]] = {}
+        for (cid, metric), value in sorted(self.values.items()):
+            grouped.setdefault(cid, {})[metric] = value
+        return grouped
 
     def metrics(self) -> list[str]:
         return sorted({metric for _, metric in self.values})
@@ -381,19 +435,23 @@ def match_flops_budget(
     if target_flops < f_lo or target_flops > f_hi:
         raise TargetUnreachable(target_flops, (f_lo, f_hi))
 
-    # Smallest value whose FLOPs reach the target (f is monotone increasing).
-    lo_v, hi_v = lo, hi
-    for _ in range(MAX_BISECTION_ITERATIONS):
-        if hi_v - lo_v <= step:
-            break
-        mid = lo_v + ((hi_v - lo_v) // (2 * step)) * step
-        _, f_mid = flops_at(mid)
-        if f_mid >= target_flops:
-            hi_v = mid
-        else:
-            lo_v = mid
-    _, f_lo_v = flops_at(lo_v)
-    upper = lo_v if f_lo_v >= target_flops else hi_v
+    def first_reaching(flops: int, hi_v: int) -> int:
+        """Smallest value in [lo, hi_v] whose FLOPs reach ``flops``, which
+        those of ``hi_v`` do (FLOPs are monotone increasing)."""
+        lo_v = lo
+        if flops_at(lo_v)[1] >= flops:
+            return lo_v
+        for _ in range(MAX_BISECTION_ITERATIONS):
+            if hi_v - lo_v <= step:
+                break
+            mid = lo_v + ((hi_v - lo_v) // (2 * step)) * step
+            if flops_at(mid)[1] >= flops:
+                hi_v = mid
+            else:
+                lo_v = mid
+        return hi_v
+
+    upper = first_reaching(target_flops, hi)
     lower = max(lo, upper - step)
 
     candidates = sorted({lower, upper})
@@ -401,6 +459,16 @@ def match_flops_budget(
         candidates, key=lambda v: (abs(flops_at(v)[1] - target_flops), v)
     )
     best_config, best_flops = flops_at(best_value)
+    # CNN FLOPs can stay flat over neighbouring resolutions, so a value below
+    # the target may share its FLOPs with smaller ones; ties go to the
+    # smallest. ViT FLOPs rise strictly, so one probe settles it there.
+    if (
+        best_flops < target_flops
+        and best_value > lo
+        and flops_at(best_value - step)[1] == best_flops
+    ):
+        best_value = first_reaching(best_flops, best_value - step)
+        best_config = flops_at(best_value)[0]
     deviation = abs(best_flops - target_flops)
 
     config_lower, f_lower = flops_at(lower)
@@ -458,7 +526,7 @@ def best_compressed(
             f"baseline {baseline_id!r} has no annotation for metric {metric!r}"
         )
     floor_value = baseline_value - max_drop
-    feasible: list[tuple[float, str, FrontierPoint]] = []
+    feasible: list[tuple[int | float, str, FrontierPoint]] = []
     for p in points:
         value = table.get(p.config_id, metric)
         if value is None:

@@ -258,6 +258,17 @@ class TestSweep:
         assert code == 2
         assert json.loads(err)["error"] == "annotations"
 
+    def test_non_finite_annotation_rejected(self, run, tmp_path, space_file):
+        ann = tmp_path / "nan.csv"
+        ann.write_text("config_id,metric,value\nvit_small;N=9;patch=8,top1,nan\n")
+        code, out, err = run("sweep", space_file, "--out", tmp_path / "out", "--annotations", ann)
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "annotations"
+        assert "line 2" in payload["message"]
+        assert not (tmp_path / "out").exists()
+
 
 class TestMatch:
     def test_depth_knob(self, run, vit_file):
@@ -330,6 +341,17 @@ class TestBest:
         )
         # only the baseline survives a 0.1 drop; it is feasible, so this passes
         assert code == 0
+
+    def test_non_finite_metric_rejected(self, run, sweep_dir):
+        frontier = sweep_dir / "frontier.csv"
+        lines = frontier.read_text().splitlines()
+        lines[1] = lines[1].rsplit(",", 1)[0] + ",nan"
+        frontier.write_text("\n".join(lines) + "\n")
+        code, _, err = run("best", sweep_dir, "--metric", "top1", "--max-drop", "1")
+        assert code == 2
+        payload = json.loads(err)
+        assert payload["error"] == "frontier"
+        assert "line 2" in payload["message"]
 
     def test_missing_dir(self, run, tmp_path):
         code, _, err = run("best", tmp_path / "nowhere", "--metric", "m", "--max-drop", 1)

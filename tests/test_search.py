@@ -163,6 +163,22 @@ class TestAnnotationTable:
         with pytest.raises(ValueError, match="line 2"):
             AnnotationTable.from_csv(p)
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_value_reports_line(self, tmp_path, raw):
+        p = tmp_path / "ann.csv"
+        p.write_text(f"config_id,metric,value\na,top1,0.7\nb,top1,{raw}\n")
+        with pytest.raises(ValueError, match="line 3"):
+            AnnotationTable.from_csv(p)
+
+    def test_by_config_groups_in_metric_order(self):
+        table = AnnotationTable.from_rows(
+            [("b", "top5", 0.9), ("a", "top5", 0.8), ("b", "top1", 0.6), ("a", "top1", 0.7)]
+        )
+        grouped = table.by_config()
+        assert list(grouped) == ["a", "b"]
+        assert list(grouped["b"].items()) == [("top1", 0.6), ("top5", 0.9)]
+        assert grouped["a"] == table.for_config("a")
+
     def test_empty_file_warns_and_yields_empty_table(self, tmp_path, caplog):
         p = tmp_path / "ann.csv"
         p.write_text("")
@@ -291,6 +307,26 @@ class TestBudgetMatcher:
         assert 96 <= v <= 128
         got = cost_report(res.config.spec, res.config.eval).flops
         assert got == res.flops
+
+    def test_cnn_resolution_plateau_ties_go_to_smaller_value(self):
+        # ResNet-50 has the same FLOPs at 195 and 196; a target just above
+        # both must pick 195, as an exhaustive scan of 150..199 does.
+        flops = {}
+        for v in range(150, 200):
+            cfg = make_config("r", resnet50(), EvalConfig(), [ScalingTransform(K.RESOLUTION, v)])
+            flops[v] = cost_report(cfg.spec, cfg.eval).flops
+        assert flops[195] == flops[196] == 6_971_715_496
+        targets = [6_998_120_402] + sorted(set(flops.values()))
+        targets += [f + 1 for f in targets] + [f - 1 for f in targets]
+        for target in targets:
+            if not flops[150] <= target <= flops[199]:
+                continue
+            res = match_flops_budget(
+                resnet50(), EvalConfig(), K.RESOLUTION, target, value_range=(150, 199)
+            )
+            want = min(flops, key=lambda v: (abs(flops[v] - target), v))
+            assert res.config.transforms[0].parameter == want, target
+            assert res.flops == flops[want]
 
     def test_hidden_values_stay_on_head_multiples(self):
         res = match_flops_budget(
