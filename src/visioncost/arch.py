@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
 from typing import Any, Union
@@ -566,7 +566,3 @@ def load_spec(path: str | Path) -> ArchSpec:
 
 def save_spec(spec: ArchSpec, path: str | Path) -> None:
     Path(path).write_text(spec_to_json(spec) + "\n", encoding="utf-8")
-
-
-def with_name(spec: ArchSpec, name: str) -> ArchSpec:
-    return replace(spec, name=name)

@@ -21,6 +21,7 @@ import logging
 import math
 import os
 import re
+import shutil
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -45,20 +46,21 @@ from .cost import (
     report_to_json,
 )
 from .presets import PRESETS
-from .scaling import ScalingError, TransformKind
+from .scaling import KIND_BY_KEY, ScalingError, TransformKind
 from .search import (
     AnnotationTable,
     FrontierPoint,
     NoFeasibleCandidate,
+    SkippedConfig,
     SpaceTooLarge,
     SweepAxis,
     SweepSpace,
     TargetUnreachable,
     best_compressed,
-    enumerate_space,
-    frontier_points,
+    evaluate_space,
     match_flops_budget,
     pareto_front,
+    point_from_report,
 )
 
 EXIT_OK = 0
@@ -210,7 +212,18 @@ def _parse_eval_dict(d: dict[str, Any], where: str) -> EvalConfig:
     return EvalConfig(**kwargs)
 
 
-_KIND_BY_KEY = {k.value: k for k in TransformKind if k is not TransformKind.HYBRID}
+def _check_axis_values(i: int, kind: TransformKind, values: list) -> None:
+    """Width values are numbers finite as floats, dtype values known dtype
+    names and all other values ints; a bool is none of these."""
+    for value in values:
+        if kind is TransformKind.DTYPE:
+            ok = isinstance(value, str) and value.lower() in DTYPES
+        elif kind is TransformKind.WIDTH:  # NaN fails the comparison
+            ok = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+        else:
+            ok = isinstance(value, int)
+        if isinstance(value, bool) or not ok:
+            raise ValueError(f"axis {i}: {value!r} is not a valid {kind.value} value")
 
 
 def _load_space(path: str) -> SweepSpace:
@@ -255,15 +268,16 @@ def _load_space(path: str) -> SweepSpace:
         if not isinstance(axis, dict) or set(axis) != {"kind", "values"}:
             raise ValueError(f"axis {i} must be an object with 'kind' and 'values'")
         kind_key = str(axis["kind"])
-        if kind_key not in _KIND_BY_KEY:
+        if kind_key not in KIND_BY_KEY:
             raise ValueError(
                 f"axis {i}: unknown kind {kind_key!r} "
-                f"(known: {sorted(_KIND_BY_KEY)})"
+                f"(known: {sorted(KIND_BY_KEY)})"
             )
         values = axis["values"]
         if not isinstance(values, list) or not values:
             raise ValueError(f"axis {i}: 'values' must be a non-empty array")
-        axes.append(SweepAxis(_KIND_BY_KEY[kind_key], tuple(values)))
+        _check_axis_values(i, KIND_BY_KEY[kind_key], values)
+        axes.append(SweepAxis(KIND_BY_KEY[kind_key], tuple(values)))
     kwargs: dict[str, Any] = {}
     if "cap" in data:
         kwargs["cap"] = int(data["cap"])
@@ -420,70 +434,67 @@ def _cmd_sweep(args: argparse.Namespace, argv: Sequence[str]) -> int:
         if not len(table):
             logger.warning("annotation table %s is empty", args.annotations)
 
+    skipped: list[SkippedConfig] = []
     try:
-        enumerated = enumerate_space(space)
+        evaluated = evaluate_space(space, skipped)
     except SpaceTooLarge as exc:
         _emit_error("space_too_large", str(exc))
         return EXIT_VALIDATION
-    for skip in enumerated.skipped:
-        logger.warning("skipped %s: %s", skip.values, skip.reason)
-    if not enumerated.configs:
-        _emit_error("infeasible", "every combination in the space was rejected")
-        return EXIT_INFEASIBLE
 
-    points = frontier_points(enumerated.configs, table)
-    metrics = table.metrics()
-    pareto = pareto_front(points)
-
+    # Each config is costed once and its report written at once; only its
+    # frontier point and plot series stay in memory.
+    annotations = table.by_config()
     out_dir = Path(args.out)
     reports_dir = out_dir / "reports"
-    try:
-        reports_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        _emit_error("io", f"cannot create {out_dir}: {exc}")
-        return EXIT_IO
-
-    header = list(FRONTIER_COLUMNS) + metrics
-    _write_atomic(out_dir / "frontier.csv", _csv_text(header, _frontier_rows(points, metrics)))
-    _write_atomic(out_dir / "pareto.csv", _csv_text(header, _frontier_rows(pareto, metrics)))
-
-    plot_rows = []
-    for config, point in zip(enumerated.configs, points):
-        plot_rows.append(
-            [
-                _series_label(space, config.transforms),
-                point.config_id,
-                point.flops,
-                point.peak_activation_bytes,
-                point.model_bytes,
-                point.total_memory_bytes,
-            ]
-        )
-    buf = io.StringIO()
-    tsv = csv.writer(buf, delimiter="\t", lineterminator="\n")
-    tsv.writerow(["series"] + list(FRONTIER_COLUMNS))
-    tsv.writerows(plot_rows)
-    _write_atomic(out_dir / "plot.tsv", buf.getvalue())
-
-    for config, point in zip(enumerated.configs, points):
-        report = cost_report(config.spec, config.eval)
+    points: list[FrontierPoint] = []
+    series: list[str] = []
+    for config, report in evaluated:
+        if not points:
+            # Cleared only once a config is costed: a run that rejects every
+            # combination leaves an earlier run's output as it was.
+            shutil.rmtree(reports_dir, ignore_errors=True)
+            try:
+                reports_dir.mkdir(parents=True)
+            except OSError as exc:
+                _emit_error("io", f"cannot create {out_dir}: {exc}")
+                return EXIT_IO
+        cid = config.config_id
+        point = point_from_report(cid, report, annotations.get(cid))
+        points.append(point)
+        series.append(_series_label(space, config.transforms))
         payload = {
-            "config_id": point.config_id,
+            "config_id": cid,
             "annotations": dict(sorted(point.annotations.items())),
             "report": report_to_dict(report),
         }
         _write_atomic(
-            reports_dir / _safe_filename(point.config_id),
-            json.dumps(payload, indent=2) + "\n",
+            reports_dir / _safe_filename(cid), json.dumps(payload, indent=2) + "\n"
         )
+    if not points:
+        _emit_error("infeasible", "every combination in the space was rejected")
+        return EXIT_INFEASIBLE
+
+    metrics = table.metrics()
+    pareto = pareto_front(points)
+    header = list(FRONTIER_COLUMNS) + metrics
+    _write_atomic(out_dir / "frontier.csv", _csv_text(header, _frontier_rows(points, metrics)))
+    _write_atomic(out_dir / "pareto.csv", _csv_text(header, _frontier_rows(pareto, metrics)))
+
+    buf = io.StringIO()
+    tsv = csv.writer(buf, delimiter="\t", lineterminator="\n")
+    tsv.writerow(["series"] + list(FRONTIER_COLUMNS))
+    tsv.writerows(
+        [label] + row for label, row in zip(series, _frontier_rows(points, []))
+    )
+    _write_atomic(out_dir / "plot.tsv", buf.getvalue())
 
     manifest = _manifest(argv, input_files, space.base_eval)
     manifest["configs"] = len(points)
-    manifest["skipped"] = len(enumerated.skipped)
+    manifest["skipped"] = len(skipped)
     _write_atomic(out_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
 
     print(
-        f"wrote {len(points)} configs ({len(enumerated.skipped)} skipped), "
+        f"wrote {len(points)} configs ({len(skipped)} skipped), "
         f"{len(pareto)} on the frontier -> {out_dir}"
     )
     return EXIT_OK

@@ -36,6 +36,7 @@ from .arch import (
     Activation,
     ArchSpec,
     BatchNorm,
+    CnnLayer,
     CnnSpec,
     Conv2d,
     EvalConfig,
@@ -140,6 +141,18 @@ def conv_flops(layer: Conv2d, out_h: int, out_w: int, batch: int = 1) -> int:
     return flops
 
 
+def _layer_params(layer: CnnLayer) -> int:
+    """Learned parameters of one CNN layer, at any input resolution."""
+    if isinstance(layer, Conv2d):
+        params = (layer.in_ch // layer.groups) * layer.out_ch * layer.kernel ** 2
+        return params + (layer.out_ch if layer.has_bias else 0)
+    if isinstance(layer, BatchNorm):
+        return 2 * layer.ch
+    if isinstance(layer, Linear):
+        return layer.in_features * layer.out_features + layer.out_features
+    return 0
+
+
 def _cnn_walk(spec: CnnSpec, cfg: EvalConfig) -> list[LayerCost]:
     res = cfg.resolution_for(spec)
     b = cfg.batch_size
@@ -154,7 +167,6 @@ def _cnn_walk(spec: CnnSpec, cfg: EvalConfig) -> list[LayerCost]:
     for i, layer in enumerate(spec.layers):
         prev = shapes[i - 1] if i > 0 else input_shape
         in_shapes = [prev]
-        params = 0
         flops = 0
         name = ""
 
@@ -176,9 +188,6 @@ def _cnn_walk(spec: CnnSpec, cfg: EvalConfig) -> list[LayerCost]:
                 )
             out = (layer.out_ch, oh, ow)
             flops = conv_flops(layer, oh, ow, b)
-            params = (layer.in_ch // layer.groups) * layer.out_ch * layer.kernel ** 2
-            if layer.has_bias:
-                params += layer.out_ch
             name = "conv2d"
         elif isinstance(layer, Pool):
             c, h, w = prev
@@ -202,7 +211,6 @@ def _cnn_walk(spec: CnnSpec, cfg: EvalConfig) -> list[LayerCost]:
                 raise ShapeMismatch(i, f"ch {layer.ch} does not match input channels {c}")
             out = prev
             flops = 2 * b * elems(prev)
-            params = 2 * layer.ch
             name = "batch_norm"
         elif isinstance(layer, Activation):
             out = prev
@@ -236,7 +244,6 @@ def _cnn_walk(spec: CnnSpec, cfg: EvalConfig) -> list[LayerCost]:
                 )
             out = (layer.out_features, 1, 1)
             flops = 2 * b * layer.in_features * layer.out_features + b * layer.out_features
-            params = layer.in_features * layer.out_features + layer.out_features
             name = "linear"
         else:  # pragma: no cover - vocabulary is closed
             raise TypeError(f"unsupported layer type {type(layer).__name__}")
@@ -255,7 +262,7 @@ def _cnn_walk(spec: CnnSpec, cfg: EvalConfig) -> list[LayerCost]:
                 out_shape=out_shape,
                 flops=flops,
                 activation_bytes=act_elems * b * e,
-                param_count=params,
+                param_count=_layer_params(layer),
             )
         )
     return costs
@@ -467,22 +474,7 @@ def param_count(spec: ArchSpec) -> int:
     """Parameter count independent of evaluation settings."""
     if isinstance(spec, ViTSpec):
         return sum(c.param_count for c in vit_cost_full(spec).per_layer)
-    layers = _cnn_walk(spec, EvalConfig(input_resolution=_safe_probe(spec)))
-    return sum(c.param_count for c in layers)
-
-
-def _safe_probe(spec: CnnSpec) -> int:
-    from .arch import _PROBE_RESOLUTIONS
-
-    for res in (224,) + _PROBE_RESOLUTIONS:
-        try:
-            _cnn_walk(spec, EvalConfig(input_resolution=res))
-            return res
-        except InfeasibleResolution:
-            continue
-        except ShapeMismatch:
-            raise
-    raise InfeasibleResolution(0, "no feasible probe resolution")
+    return sum(map(_layer_params, spec.layers))
 
 
 # --------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .arch import (
     ArchSpec,
@@ -70,6 +70,8 @@ class RoundingBreaksGroups(ScalingError):
             f"by groups {groups}; retry with rounding to a multiple of {groups}"
         )
         self.layer_index = layer_index
+        self.channels = channels
+        self.groups = groups
 
 
 class HeadDivisibility(ScalingError):
@@ -163,20 +165,33 @@ class ScalingTransform:
 # Structural transforms.
 
 
-def _is_channel_source(layer: CnnLayer) -> bool:
-    return isinstance(layer, (Conv2d, Linear))
-
-
-def _derived_flags(spec: CnnSpec) -> list[bool]:
-    """Per layer: do its output channels come from a learned layer (vs the
-    raw image)? Image-fed conv inputs must keep their channel count."""
-    flags: list[bool] = []
-    cur = False
-    for layer in spec.layers:
-        if isinstance(layer, (Conv2d, Linear)):
-            cur = True
-        flags.append(cur)
-    return flags
+def _rescale_channels(spec: CnnSpec, scale: Callable[[int, int], int]) -> CnnSpec:
+    """Replace every learned channel count ``c`` of layer ``i`` by
+    ``scale(c, i)``; channels fed by the raw image stay. Group counts stay
+    too, so a grouped conv whose new channels its groups no longer divide
+    raises RoundingBreaksGroups."""
+    # Per layer: does its output come from a learned layer, not the image?
+    derived: list[bool] = []
+    new_layers: list[CnnLayer] = []
+    for i, layer in enumerate(spec.layers):
+        src = i - 1
+        if isinstance(layer, Conv2d) and layer.input_layer_index is not None:
+            src = layer.input_layer_index
+        src_derived = src >= 0 and derived[src]
+        derived.append(isinstance(layer, (Conv2d, Linear)) or (i > 0 and derived[-1]))
+        if isinstance(layer, Conv2d):
+            new_in = scale(layer.in_ch, i) if src_derived else layer.in_ch
+            new_out = scale(layer.out_ch, i)
+            for channels in (new_in, new_out):
+                if channels % layer.groups != 0:
+                    raise RoundingBreaksGroups(i, channels, layer.groups)
+            layer = replace(layer, in_ch=new_in, out_ch=new_out)
+        elif isinstance(layer, BatchNorm) and src_derived:
+            layer = replace(layer, ch=scale(layer.ch, i))
+        elif isinstance(layer, Linear) and src_derived:
+            layer = replace(layer, in_features=scale(layer.in_features, i))
+        new_layers.append(layer)
+    return replace(spec, layers=tuple(new_layers))
 
 
 def width_scale(
@@ -191,38 +206,7 @@ def width_scale(
         raise ScalingError(f"width ratio must be > 0, got {ratio}")
     if ratio == 1.0:
         return spec
-    flags = _derived_flags(spec)
-
-    def scale(c: int) -> int:
-        return rounding.apply(c * ratio)
-
-    new_layers: list[CnnLayer] = []
-    for i, layer in enumerate(spec.layers):
-        if isinstance(layer, Conv2d):
-            if layer.input_layer_index is not None:
-                src_derived = flags[layer.input_layer_index]
-            else:
-                src_derived = flags[i - 1] if i > 0 else False
-            new_in = scale(layer.in_ch) if src_derived else layer.in_ch
-            new_out = scale(layer.out_ch)
-            if layer.groups > 1:
-                if new_in % layer.groups != 0:
-                    raise RoundingBreaksGroups(i, new_in, layer.groups)
-                if new_out % layer.groups != 0:
-                    raise RoundingBreaksGroups(i, new_out, layer.groups)
-            new_layers.append(replace(layer, in_ch=new_in, out_ch=new_out))
-        elif isinstance(layer, BatchNorm):
-            src_derived = flags[i - 1] if i > 0 else False
-            new_layers.append(
-                replace(layer, ch=scale(layer.ch) if src_derived else layer.ch)
-            )
-        elif isinstance(layer, Linear):
-            src_derived = flags[i - 1] if i > 0 else False
-            new_in = scale(layer.in_features) if src_derived else layer.in_features
-            new_layers.append(replace(layer, in_features=new_in))
-        else:
-            new_layers.append(layer)
-    return replace(spec, layers=tuple(new_layers))
+    return _rescale_channels(spec, lambda c, _: rounding.apply(c * ratio))
 
 
 def group_width_scale(spec: CnnSpec, group_width: int) -> CnnSpec:
@@ -243,11 +227,9 @@ def group_width_scale(spec: CnnSpec, group_width: int) -> CnnSpec:
         raise ScalingError(
             f"grouped convolutions disagree on group width: {sorted(old_widths)}"
         )
-    old = old_widths.pop()
-    ratio = Fraction(group_width, old)
+    ratio = Fraction(group_width, old_widths.pop())
     if ratio == 1:
         return spec
-    flags = _derived_flags(spec)
 
     def scale(c: int, where: int) -> int:
         v = c * ratio
@@ -257,28 +239,13 @@ def group_width_scale(spec: CnnSpec, group_width: int) -> CnnSpec:
             )
         return int(v)
 
-    new_layers: list[CnnLayer] = []
-    for i, layer in enumerate(spec.layers):
-        if isinstance(layer, Conv2d):
-            if layer.input_layer_index is not None:
-                src_derived = flags[layer.input_layer_index]
-            else:
-                src_derived = flags[i - 1] if i > 0 else False
-            new_in = scale(layer.in_ch, i) if src_derived else layer.in_ch
-            new_out = scale(layer.out_ch, i)
-            new_layers.append(replace(layer, in_ch=new_in, out_ch=new_out))
-        elif isinstance(layer, BatchNorm):
-            src_derived = flags[i - 1] if i > 0 else False
-            new_layers.append(
-                replace(layer, ch=scale(layer.ch, i) if src_derived else layer.ch)
-            )
-        elif isinstance(layer, Linear):
-            src_derived = flags[i - 1] if i > 0 else False
-            new_in = scale(layer.in_features, i) if src_derived else layer.in_features
-            new_layers.append(replace(layer, in_features=new_in))
-        else:
-            new_layers.append(layer)
-    return replace(spec, layers=tuple(new_layers))
+    try:
+        return _rescale_channels(spec, scale)
+    except RoundingBreaksGroups as exc:
+        raise InvalidGroupWidth(
+            f"layer {exc.layer_index}: group width {group_width} gives "
+            f"{exc.channels} channels, not divisible by groups {exc.groups}"
+        ) from None
 
 
 def hidden_scale(
@@ -329,16 +296,12 @@ def patch_scale(
 # Evaluation transforms: the spec is untouched.
 
 
-def resolution_scale(spec: ArchSpec, cfg: EvalConfig, new_resolution: int) -> EvalConfig:
+def resolution_scale(cfg: EvalConfig, new_resolution: int) -> EvalConfig:
+    """A CNN resolution too small for its windows is left for the cost walk
+    to reject with InfeasibleResolution."""
     if new_resolution < 1:
         raise ScalingError(f"resolution must be >= 1, got {new_resolution}")
-    out = replace(cfg, input_resolution=new_resolution)
-    if isinstance(spec, CnnSpec):
-        # Surface infeasible resolutions here rather than at report time.
-        from .cost import propagate_shapes
-
-        propagate_shapes(spec, out)
-    return out
+    return replace(cfg, input_resolution=new_resolution)
 
 
 def dtype_scale(cfg: EvalConfig, dtype: DTypeDesc) -> EvalConfig:
@@ -388,7 +351,7 @@ def apply_transform(
             raise ScalingError("patch size applies to transformer specs")
         return patch_scale(spec, int(t.parameter), t.keep), cfg
     if kind is TransformKind.RESOLUTION:
-        return spec, resolution_scale(spec, cfg, int(t.parameter))
+        return spec, resolution_scale(cfg, int(t.parameter))
     if kind is TransformKind.BATCH:
         return spec, batch_scale(cfg, int(t.parameter))
     if kind is TransformKind.DTYPE:
@@ -475,16 +438,17 @@ def config_id_of(base_name: str, chain: Iterable[ScalingTransform]) -> str:
     return ";".join(parts)
 
 
-_KIND_BY_KEY = {k.value: k for k in TransformKind if k is not TransformKind.HYBRID}
+# Sweep axis and config id keys.
+KIND_BY_KEY = {k.value: k for k in TransformKind if k is not TransformKind.HYBRID}
 
 
 def _parse_one(token: str) -> ScalingTransform:
     key, sep, raw = token.partition("=")
     if not sep:
         raise ScalingError(f"malformed transform token {token!r}")
-    if key not in _KIND_BY_KEY:
+    if key not in KIND_BY_KEY:
         raise ScalingError(f"unknown transform key {key!r} in {token!r}")
-    kind = _KIND_BY_KEY[key]
+    kind = KIND_BY_KEY[key]
     value, _, suffix = raw.partition(":")
     if kind is TransformKind.DTYPE:
         return ScalingTransform(kind, dtype_from_name(raw))

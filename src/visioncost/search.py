@@ -2,10 +2,11 @@
 
 A ``SweepSpace`` is a base configuration plus value axes, one per transform
 kind; enumeration walks the cross product in deterministic order (first
-axis slowest), skipping -- and recording -- combinations the transforms
-reject. Evaluated configurations become ``FrontierPoint`` rows that flow
-into the Pareto filter, the FLOPs budget matcher, and annotation-driven
-selection of the cheapest acceptable configuration.
+axis slowest), costing each combination once and skipping -- and
+recording -- those the transforms or the cost walk reject. Evaluated
+configurations become ``FrontierPoint`` rows that flow into the Pareto
+filter, the FLOPs budget matcher, and annotation-driven selection of the
+cheapest acceptable configuration.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ import math
 from dataclasses import dataclass, field
 from itertools import groupby, product
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .arch import ArchSpec, EvalConfig, ViTSpec
-from .cost import CostReport, InfeasibleResolution, cost_report
+from .cost import CostReport, InfeasibleResolution, ShapeMismatch, cost_report
 from .scaling import (
     ScaledConfig,
     ScalingError,
@@ -36,6 +37,7 @@ __all__ = [
     "SpaceTooLarge",
     "SkippedConfig",
     "EnumeratedSweep",
+    "evaluate_space",
     "enumerate_space",
     "FrontierPoint",
     "point_from_report",
@@ -99,28 +101,48 @@ class EnumeratedSweep:
     skipped: tuple[SkippedConfig, ...]
 
 
-def enumerate_space(space: SweepSpace) -> EnumeratedSweep:
-    """Cross product of the axes, in order; invalid combos are recorded."""
+def evaluate_space(
+    space: SweepSpace, skipped: list[SkippedConfig]
+) -> Iterator[tuple[ScaledConfig, CostReport]]:
+    """Build and cost each combination of the axes, in order (first axis
+    slowest), yielding every config with its one cost report.
+
+    A combination that a transform or the cost walk rejects (a CNN
+    resolution too small for a window, or one a flattening classifier does
+    not fit) is appended to ``skipped`` and logged once.
+    SpaceTooLarge is raised here, before anything is costed.
+    """
     if space.size > space.cap:
         raise SpaceTooLarge(
             f"sweep space has {space.size} combinations, cap is {space.cap}"
         )
-    configs: list[ScaledConfig] = []
-    skipped: list[SkippedConfig] = []
-    value_lists = [axis.values for axis in space.axes]
-    for combo in product(*value_lists):
-        chain = tuple(
-            ScalingTransform(axis.kind, value)
-            for axis, value in zip(space.axes, combo)
-        )
-        try:
-            configs.append(
-                make_config(space.base_name, space.base_spec, space.base_eval, chain)
+
+    def walk() -> Iterator[tuple[ScaledConfig, CostReport]]:
+        for combo in product(*(axis.values for axis in space.axes)):
+            chain = tuple(
+                ScalingTransform(axis.kind, value)
+                for axis, value in zip(space.axes, combo)
             )
-        except (ScalingError, InfeasibleResolution, ValueError) as exc:
-            skipped.append(SkippedConfig(values=combo, reason=str(exc)))
-            logger.warning("skipping %s: %s", combo, exc)
-    return EnumeratedSweep(configs=tuple(configs), skipped=tuple(skipped))
+            try:
+                config = make_config(
+                    space.base_name, space.base_spec, space.base_eval, chain
+                )
+                report = cost_report(config.spec, config.eval)
+            except (ScalingError, InfeasibleResolution, ShapeMismatch) as exc:
+                skipped.append(SkippedConfig(values=combo, reason=str(exc)))
+                logger.warning("skipping %s: %s", combo, exc)
+                continue
+            yield config, report
+
+    return walk()
+
+
+def enumerate_space(space: SweepSpace) -> EnumeratedSweep:
+    """Every config of the space that costs, in order; rejected combos are
+    recorded."""
+    skipped: list[SkippedConfig] = []
+    configs = tuple(config for config, _ in evaluate_space(space, skipped))
+    return EnumeratedSweep(configs=configs, skipped=tuple(skipped))
 
 
 # --------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """End-to-end CLI behavior: exit codes, stdout payloads, written files."""
 
 import json
+import logging
 
 import pytest
 
+import visioncost.cli
+import visioncost.search
 from visioncost.arch import CnnSpec, Conv2d, GlobalPool, Linear, save_spec
 from visioncost.cli import main
 from visioncost.presets import resnet50, vit_small
@@ -42,6 +45,13 @@ def space_file(tmp_path):
         )
     )
     return p
+
+
+def write_space(path, base, *axes, **extra):
+    """A space file over a preset with the given (kind, values) axes."""
+    axes = [{"kind": kind, "values": list(values)} for kind, values in axes]
+    path.write_text(json.dumps({"base": base, "axes": axes, **extra}))
+    return path
 
 
 @pytest.fixture
@@ -250,6 +260,85 @@ class TestSweep:
         )
         code, _, err = run("sweep", space, "--out", tmp_path / "out")
         assert code == 3
+
+    def test_each_config_is_costed_once(self, run, tmp_path, space_file, monkeypatch):
+        calls = []
+        real = visioncost.search.cost_report
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(visioncost.search, "cost_report", counting)
+        monkeypatch.setattr(visioncost.cli, "cost_report", counting)
+        assert run("sweep", space_file, "--out", tmp_path / "out")[0] == 0
+        assert len(calls) == 4
+
+    def test_rerun_leaves_only_its_own_reports(self, run, tmp_path, space_file):
+        out_dir = tmp_path / "out"
+        assert run("sweep", space_file, "--out", out_dir)[0] == 0
+        small = write_space(tmp_path / "small.json", "vit_small", ("depth", [6, 12]))
+        assert run("sweep", small, "--out", out_dir)[0] == 0
+        names = sorted(p.name for p in (out_dir / "reports").iterdir())
+        assert len(names) == 2
+        assert all(n.startswith("vit_small_depth_") for n in names)
+
+    def test_rejected_run_leaves_earlier_output_untouched(self, run, tmp_path, space_file):
+        out_dir = tmp_path / "out"
+        assert run("sweep", space_file, "--out", out_dir)[0] == 0
+        before = {p: p.read_bytes() for p in out_dir.rglob("*") if p.is_file()}
+        bad = write_space(tmp_path / "bad.json", "vit_small", ("depth", [0, -1]))
+        assert run("sweep", bad, "--out", out_dir)[0] == 3
+        assert {p: p.read_bytes() for p in out_dir.rglob("*") if p.is_file()} == before
+        assert run("sweep", bad, "--out", tmp_path / "fresh")[0] == 3
+        assert not (tmp_path / "fresh").exists()
+
+    def test_each_skip_is_logged_once(self, run, tmp_path, caplog):
+        space = write_space(tmp_path / "s.json", "vit_small", ("depth", [0, 6, -1]))
+        with caplog.at_level(logging.WARNING):
+            assert run("sweep", space, "--out", tmp_path / "out")[0] == 0
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 2
+        assert "(0,)" in warnings[0] and "(-1,)" in warnings[1]
+
+    def test_infeasible_cnn_resolution_is_skipped(self, run, tmp_path, caplog):
+        spec = CnnSpec(
+            name="strict",
+            input_channels=3,
+            layers=(Conv2d(3, 8, kernel=9), GlobalPool(), Linear(8, 2)),
+        )
+        save_spec(spec, tmp_path / "strict.json")
+        space = tmp_path / "space.json"
+        space.write_text(
+            json.dumps({"spec_file": "strict.json", "axes": [{"kind": "N", "values": [4, 32]}]})
+        )
+        out_dir = tmp_path / "out"
+        code, out, _ = run("sweep", space, "--out", out_dir)
+        assert code == 0
+        assert "(1 skipped)" in out
+        assert "skipping (4,): layer 0: conv output side" in caplog.text
+        assert json.loads((out_dir / "manifest.json").read_text())["skipped"] == 1
+        reports = [p.name for p in (out_dir / "reports").iterdir()]
+        assert len(reports) == 1 and reports[0].startswith("strict_N_32-")
+
+    @pytest.mark.parametrize(
+        "kind, value",
+        [
+            ("depth", None), ("depth", [1]), ("depth", True), ("depth", 6.5),
+            ("dtype", "fp8"), ("width", float("nan")), ("width", 10**400),
+        ],
+        ids=["null", "list", "bool", "fraction", "unknown-dtype", "nan-width", "huge-width"],
+    )
+    def test_wrong_axis_value_type(self, run, tmp_path, kind, value):
+        base = "resnet50" if kind == "width" else "vit_small"
+        space = write_space(tmp_path / "s.json", base, ("N", [9]), (kind, [value]))
+        code, _, err = run("sweep", space, "--out", tmp_path / "out")
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "space"
+        assert payload["message"].startswith("axis 1:")
+        assert not (tmp_path / "out").exists()
 
     def test_duplicate_annotation_rejected(self, run, tmp_path, space_file):
         ann = tmp_path / "dup.csv"

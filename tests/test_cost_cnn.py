@@ -201,6 +201,13 @@ class TestWalk:
             assert rep.model_bytes == want_params * 4
             assert param_count(spec) == want_params
 
+    def test_param_count_needs_no_feasible_resolution(self):
+        # a 5000-pixel kernel fits none of the probe resolutions (up to 4096)
+        spec = stack(Conv2d(3, 8, kernel=5000), GlobalPool(), Linear(8, 10))
+        with pytest.raises(InfeasibleResolution):
+            cost_report(spec, EvalConfig(input_resolution=4096))
+        assert param_count(spec) == 3 * 8 * 5000**2 + 8 * 10 + 10
+
     def test_resnet50_matches_recount_oracle(self):
         spec = resnet50()
         want_flops, want_peak, want_params = oracle_recount(spec, 224)

@@ -138,6 +138,15 @@ class TestGroupWidth:
         for b, n in zip(base_convs, new_convs):
             assert n.out_ch * 2 == b.out_ch
 
+    def test_group_width_that_breaks_groups_is_an_error(self):
+        # group width 2 -> 1 halves out_ch to 1, which 2 groups cannot split
+        spec = CnnSpec(name="g", input_channels=4, layers=(Conv2d(4, 2, kernel=1, groups=2),))
+        with pytest.raises(InvalidGroupWidth) as exc:
+            arch_apply(spec, ScalingTransform(K.GROUP_WIDTH, 1))
+        assert str(exc.value) == (
+            "layer 0: group width 1 gives 1 channels, not divisible by groups 2"
+        )
+
     def test_group_width_must_be_positive(self):
         with pytest.raises(InvalidGroupWidth):
             arch_apply(grouped_seg_backbone(), ScalingTransform(K.GROUP_WIDTH, 0))
@@ -233,13 +242,17 @@ class TestEvalKnobs:
         assert cfg.spec == vit_small()
 
     def test_cnn_resolution_infeasible_surfaces(self):
+        # Feasibility comes from the cost walk, not from building the config.
         spec = CnnSpec(
             name="strict",
             input_channels=3,
             layers=(Conv2d(3, 8, kernel=9),),
         )
-        with pytest.raises(InfeasibleResolution):
-            make_config("strict", spec, EvalConfig(), [ScalingTransform(K.RESOLUTION, 4)])
+        cfg = make_config("strict", spec, EvalConfig(), [ScalingTransform(K.RESOLUTION, 4)])
+        assert cfg.eval.input_resolution == 4
+        with pytest.raises(InfeasibleResolution) as exc:
+            cost_report(cfg.spec, cfg.eval)
+        assert exc.value.layer_index == 0
 
     def test_dtype_and_batch(self):
         cfg = make_config(

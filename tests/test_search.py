@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from visioncost.arch import EvalConfig
+from visioncost.arch import CnnSpec, Conv2d, EvalConfig, Linear
 from visioncost.cost import cost_report
 from visioncost.presets import resnet50, vit_small
 from visioncost.scaling import ScalingTransform, TransformKind, make_config
@@ -22,6 +22,7 @@ from visioncost.search import (
     TargetUnreachable,
     best_compressed,
     enumerate_space,
+    evaluate_space,
     frontier_points,
     match_flops_budget,
     pareto_front,
@@ -78,6 +79,23 @@ class TestEnumerate:
         assert len(enum.skipped) == 1
         assert enum.skipped[0].values == (0,)
         assert enum.skipped[0].reason
+
+    def test_evaluate_costs_each_config_once_in_order(self):
+        space = vit_space([SweepAxis(K.DEPTH, (0, 6, 12))])
+        skipped = []
+        pairs = list(evaluate_space(space, skipped))
+        assert [c.config_id for c, _ in pairs] == ["vit_small;depth=6", "vit_small;depth=12"]
+        for config, report in pairs:
+            assert report == cost_report(config.spec, config.eval)
+        assert [s.values for s in skipped] == [(0,)]
+
+    def test_cnn_resolution_a_flattening_classifier_does_not_fit_is_skipped(self):
+        # valid at the 64-pixel probe only: the linear layer reads 2*62*62 inputs
+        spec = CnnSpec("flat", 3, (Conv2d(3, 2, kernel=3), Linear(2 * 62 * 62, 10)))
+        space = SweepSpace("flat", spec, EvalConfig(), (SweepAxis(K.RESOLUTION, (64, 32)),))
+        enum = enumerate_space(space)
+        assert [c.config_id for c in enum.configs] == ["flat;N=64"]
+        assert "does not match flattened input size 1800" in enum.skipped[0].reason
 
     def test_size_property(self):
         space = vit_space(
