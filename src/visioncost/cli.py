@@ -7,7 +7,9 @@ write frontier/pareto/plot files), ``match`` (FLOPs budget matching),
 parse failure, 3 infeasible request, 64 usage error.
 
 Outputs are byte-deterministic for identical inputs (the run manifest's
-timestamp aside) and files are written atomically via temp-and-rename.
+timestamp aside). ``sweep`` writes its CSV, TSV and manifest files atomically
+via temp-and-rename, and builds ``reports/`` in a staging directory that
+replaces the old one whole once every config is costed.
 """
 
 from __future__ import annotations
@@ -148,6 +150,14 @@ def _add_eval_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _finite_non_negative(text: str) -> float:
+    """argparse type of ``--tol`` and ``--max-drop``."""
+    value = float(text)  # argparse reports a ValueError as a usage error
+    if not 0 <= value < math.inf:  # NaN fails both comparisons
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
+
+
 def _eval_from_args(args: argparse.Namespace) -> EvalConfig:
     if args.batch < 1:
         raise UsageError(f"--batch must be >= 1, got {args.batch}")
@@ -189,6 +199,13 @@ def _cmd_cost(args: argparse.Namespace) -> int:
 # sweep
 
 
+def _checked_int(value: Any, field: str) -> int:
+    """``value`` when it is an int; a bool, float, string or null is not."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{field} must be an integer, got {json.dumps(value)}")
+    return value
+
+
 def _parse_eval_dict(d: dict[str, Any], where: str) -> EvalConfig:
     allowed = {"batch_size", "dtype", "input_resolution", "flop_convention"}
     unknown = set(d) - allowed
@@ -196,11 +213,13 @@ def _parse_eval_dict(d: dict[str, Any], where: str) -> EvalConfig:
         raise ValueError(f"{where}: unknown key(s) {sorted(unknown)}")
     kwargs: dict[str, Any] = {}
     if "batch_size" in d:
-        kwargs["batch_size"] = int(d["batch_size"])
+        kwargs["batch_size"] = _checked_int(d["batch_size"], f"{where}: batch_size")
     if "dtype" in d:
         kwargs["dtype"] = dtype_from_name(str(d["dtype"]))
-    if "input_resolution" in d and d["input_resolution"] is not None:
-        kwargs["input_resolution"] = int(d["input_resolution"])
+    if d.get("input_resolution") is not None:  # null: the spec default
+        kwargs["input_resolution"] = _checked_int(
+            d["input_resolution"], f"{where}: input_resolution"
+        )
     if "flop_convention" in d:
         try:
             kwargs["flop_convention"] = FlopConvention(d["flop_convention"])
@@ -280,7 +299,7 @@ def _load_space(path: str) -> SweepSpace:
         axes.append(SweepAxis(KIND_BY_KEY[kind_key], tuple(values)))
     kwargs: dict[str, Any] = {}
     if "cap" in data:
-        kwargs["cap"] = int(data["cap"])
+        kwargs["cap"] = _checked_int(data["cap"], "space file: cap")
     return SweepSpace(
         base_name=base_name,
         base_spec=base_spec,
@@ -294,6 +313,18 @@ def _write_atomic(path: Path, data: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(data, encoding="utf-8")
     os.replace(tmp, path)
+
+
+def _swap_in(staged: Path, target: Path) -> None:
+    """Put directory ``staged`` in place of ``target``. POSIX cannot rename
+    onto a non-empty directory, so the old one is moved aside, then removed."""
+    aside = staged.with_name(staged.name + ".old")
+    had_old = target.is_dir()
+    if had_old:
+        target.rename(aside)
+    staged.rename(target)
+    if had_old:
+        shutil.rmtree(aside)
 
 
 def _csv_text(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
@@ -442,56 +473,63 @@ def _cmd_sweep(args: argparse.Namespace, argv: Sequence[str]) -> int:
         return EXIT_VALIDATION
 
     # Each config is costed once and its report written at once; only its
-    # frontier point and plot series stay in memory.
+    # frontier point and plot series stay in memory. The reports go to a
+    # staging directory, made once a config is costed (a run that rejects
+    # every combination leaves an earlier run's output as it was), that
+    # replaces reports/ after the loop: a failed run leaves the old ones.
     annotations = table.by_config()
     out_dir = Path(args.out)
-    reports_dir = out_dir / "reports"
+    staging: Path | None = None
     points: list[FrontierPoint] = []
     series: list[str] = []
-    for config, report in evaluated:
-        if not points:
-            # Cleared only once a config is costed: a run that rejects every
-            # combination leaves an earlier run's output as it was.
-            shutil.rmtree(reports_dir, ignore_errors=True)
-            try:
-                reports_dir.mkdir(parents=True)
-            except OSError as exc:
-                _emit_error("io", f"cannot create {out_dir}: {exc}")
-                return EXIT_IO
-        cid = config.config_id
-        point = point_from_report(cid, report, annotations.get(cid))
-        points.append(point)
-        series.append(_series_label(space, config.transforms))
-        payload = {
-            "config_id": cid,
-            "annotations": dict(sorted(point.annotations.items())),
-            "report": report_to_dict(report),
-        }
-        _write_atomic(
-            reports_dir / _safe_filename(cid), json.dumps(payload, indent=2) + "\n"
+    try:
+        for config, report in evaluated:
+            if staging is None:
+                out_dir.mkdir(parents=True, exist_ok=True)
+                # Not mkdtemp: reports/ keeps the umask's mode, not 0o700.
+                staging = out_dir / f".reports-{os.urandom(6).hex()}"
+                staging.mkdir()
+            cid = config.config_id
+            point = point_from_report(cid, report, annotations.get(cid))
+            points.append(point)
+            series.append(_series_label(space, config.transforms))
+            payload = {
+                "config_id": cid,
+                "annotations": dict(sorted(point.annotations.items())),
+                "report": report_to_dict(report),
+            }
+            # Without indent, json runs its C encoder.
+            text = json.dumps(payload, separators=(",", ":")) + "\n"
+            (staging / _safe_filename(cid)).write_text(text, encoding="utf-8")
+        if staging is None:
+            _emit_error("infeasible", "every combination in the space was rejected")
+            return EXIT_INFEASIBLE
+        _swap_in(staging, out_dir / "reports")
+
+        metrics = table.metrics()
+        pareto = pareto_front(points)
+        header = list(FRONTIER_COLUMNS) + metrics
+        _write_atomic(out_dir / "frontier.csv", _csv_text(header, _frontier_rows(points, metrics)))
+        _write_atomic(out_dir / "pareto.csv", _csv_text(header, _frontier_rows(pareto, metrics)))
+
+        buf = io.StringIO()
+        tsv = csv.writer(buf, delimiter="\t", lineterminator="\n")
+        tsv.writerow(["series"] + list(FRONTIER_COLUMNS))
+        tsv.writerows(
+            [label] + row for label, row in zip(series, _frontier_rows(points, []))
         )
-    if not points:
-        _emit_error("infeasible", "every combination in the space was rejected")
-        return EXIT_INFEASIBLE
+        _write_atomic(out_dir / "plot.tsv", buf.getvalue())
 
-    metrics = table.metrics()
-    pareto = pareto_front(points)
-    header = list(FRONTIER_COLUMNS) + metrics
-    _write_atomic(out_dir / "frontier.csv", _csv_text(header, _frontier_rows(points, metrics)))
-    _write_atomic(out_dir / "pareto.csv", _csv_text(header, _frontier_rows(pareto, metrics)))
-
-    buf = io.StringIO()
-    tsv = csv.writer(buf, delimiter="\t", lineterminator="\n")
-    tsv.writerow(["series"] + list(FRONTIER_COLUMNS))
-    tsv.writerows(
-        [label] + row for label, row in zip(series, _frontier_rows(points, []))
-    )
-    _write_atomic(out_dir / "plot.tsv", buf.getvalue())
-
-    manifest = _manifest(argv, input_files, space.base_eval)
-    manifest["configs"] = len(points)
-    manifest["skipped"] = len(skipped)
-    _write_atomic(out_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
+        manifest = _manifest(argv, input_files, space.base_eval)
+        manifest["configs"] = len(points)
+        manifest["skipped"] = len(skipped)
+        _write_atomic(out_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
+    except OSError as exc:
+        _emit_error("io", f"cannot write to {out_dir}: {exc}")
+        return EXIT_IO
+    finally:
+        if staging is not None:  # already gone once swapped in
+            shutil.rmtree(staging, ignore_errors=True)
 
     print(
         f"wrote {len(points)} configs ({len(skipped)} skipped), "
@@ -684,7 +722,7 @@ def build_parser() -> _Parser:
         "--knob", required=True, choices=sorted(_KNOB_CHOICES), help="knob to bisect"
     )
     p_match.add_argument("--target-flops", type=int, required=True)
-    p_match.add_argument("--tol", type=float, default=None, help="relative tolerance")
+    p_match.add_argument("--tol", type=_finite_non_negative, help="relative tolerance")
     p_match.add_argument("--min-value", type=int, default=None)
     p_match.add_argument("--max-value", type=int, default=None)
     _add_eval_flags(p_match)
@@ -694,7 +732,7 @@ def build_parser() -> _Parser:
     )
     p_best.add_argument("sweep_dir", help="directory written by 'sweep'")
     p_best.add_argument("--metric", required=True)
-    p_best.add_argument("--max-drop", type=float, required=True)
+    p_best.add_argument("--max-drop", type=_finite_non_negative, required=True)
     p_best.add_argument(
         "--objective", choices=sorted(_OBJECTIVE_ALIASES), default="flops"
     )
@@ -725,8 +763,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "match":
             return _cmd_match(args)
         if args.command == "best":
-            if args.max_drop < 0:
-                raise UsageError(f"--max-drop must be >= 0, got {args.max_drop}")
             return _cmd_best(args)
         if args.command == "presets":
             return _cmd_presets(args)

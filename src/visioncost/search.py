@@ -15,6 +15,7 @@ import csv
 import logging
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import groupby, product
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -503,7 +504,7 @@ def match_flops_budget(
     within_tol: bool | None = None
     bracket: tuple[ScaledConfig, ScaledConfig] | None = None
     if tol is not None:
-        within_tol = deviation <= tol * target_flops
+        within_tol = deviation <= Fraction(tol) * target_flops  # exact past 2**53
         if not within_tol:
             bracket = (config_lower, config_upper)
     return MatchResult(

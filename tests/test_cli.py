@@ -2,14 +2,19 @@
 
 import json
 import logging
+from pathlib import Path
 
 import pytest
 
 import visioncost.cli
 import visioncost.search
-from visioncost.arch import CnnSpec, Conv2d, GlobalPool, Linear, save_spec
+from visioncost.arch import (
+    CnnSpec, Conv2d, EvalConfig, FlopConvention, GlobalPool, Linear, save_spec,
+)
 from visioncost.cli import main
+from visioncost.cost import cost_report, report_to_dict
 from visioncost.presets import resnet50, vit_small
+from visioncost.scaling import parse_config_id
 
 
 @pytest.fixture
@@ -156,6 +161,22 @@ class TestUsage:
         assert code == 64
         assert "max-drop" in err
 
+    @pytest.mark.parametrize(
+        "command, value",
+        # best's -1 is test_negative_max_drop
+        [("match", "nan"), ("match", "inf"), ("match", "-1"), ("best", "nan"), ("best", "inf")],
+    )
+    def test_tolerances_must_be_finite_and_non_negative(self, run, vit_file, command, value):
+        if command == "match":
+            argv = ("match", vit_file, "--knob", "depth", "--target-flops", 10**9, "--tol")
+        else:
+            argv = ("best", vit_file.parent, "--metric", "top1", "--max-drop")
+        code, out, err = run(*argv, value)
+        assert code == 64
+        assert out == ""
+        assert err.startswith("usage error: argument ")
+        assert argv[-1] in err
+
 
 class TestSweep:
     def test_writes_all_outputs(self, run, tmp_path, space_file, annotations_file):
@@ -282,6 +303,12 @@ class TestSweep:
         names = sorted(p.name for p in (out_dir / "reports").iterdir())
         assert len(names) == 2
         assert all(n.startswith("vit_small_depth_") for n in names)
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "frontier.csv", "manifest.json", "pareto.csv", "plot.tsv", "reports",
+        ]
+        # The swapped-in directory has the mode a plain mkdir gives.
+        (tmp_path / "probe").mkdir()
+        assert (out_dir / "reports").stat().st_mode == (tmp_path / "probe").stat().st_mode
 
     def test_rejected_run_leaves_earlier_output_untouched(self, run, tmp_path, space_file):
         out_dir = tmp_path / "out"
@@ -339,6 +366,94 @@ class TestSweep:
         assert payload["error"] == "space"
         assert payload["message"].startswith("axis 1:")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [(f, v) for f in ("cap", "batch_size") for v in (None, True, 4.0, "4")]
+        # a null input_resolution means the spec default
+        + [("input_resolution", v) for v in (True, 4.0, "4")],
+    )
+    def test_wrong_int_field_type(self, run, tmp_path, field, value):
+        extra = {"cap": value} if field == "cap" else {"eval": {field: value}}
+        space = write_space(tmp_path / "s.json", "vit_small", ("depth", [6]), **extra)
+        code, _, err = run("sweep", space, "--out", tmp_path / "out")
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "space"
+        assert f"{field} must be an integer, got {json.dumps(value)}" in payload["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_null_input_resolution_is_the_spec_default(self, run, tmp_path):
+        space = write_space(
+            tmp_path / "s.json", "vit_small", ("depth", [6]), eval={"input_resolution": None}
+        )
+        assert run("sweep", space, "--out", tmp_path / "out")[0] == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["eval"]["input_resolution"] is None
+
+    def test_reports_are_one_line_of_compact_json(
+        self, run, tmp_path, space_file, annotations_file
+    ):
+        out_dir = tmp_path / "out"
+        assert run("sweep", space_file, "--out", out_dir, "--annotations", annotations_file)[0] == 0
+        base_eval = EvalConfig(input_resolution=9, flop_convention=FlopConvention.FULL_COUNT)
+        paths = sorted((out_dir / "reports").iterdir())
+        assert len(paths) == 4
+        for path in paths:
+            text = path.read_text()
+            assert text.count("\n") == 1 and text.endswith("\n")
+            payload = json.loads(text)
+            assert text == json.dumps(payload, separators=(",", ":")) + "\n"
+            config = parse_config_id(payload["config_id"], base_eval=base_eval)
+            want = report_to_dict(cost_report(config.spec, config.eval))
+            # Same keys in the same order, and every count still an int.
+            assert json.dumps(payload["report"]) == json.dumps(want)
+            assert type(payload["report"]["flops"]) is int
+        assert not list(out_dir.glob(".reports-*"))
+
+    def test_failed_run_leaves_earlier_reports(self, run, tmp_path, space_file, monkeypatch):
+        out_dir = tmp_path / "out"
+        assert run("sweep", space_file, "--out", out_dir)[0] == 0
+        before = {p: p.read_bytes() for p in out_dir.rglob("*") if p.is_file()}
+        real, calls = visioncost.search.cost_report, []
+
+        def failing_third(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 3:
+                raise RuntimeError("boom")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(visioncost.search, "cost_report", failing_third)
+        small = write_space(tmp_path / "small.json", "vit_small", ("depth", [2, 4, 6, 8]))
+        with pytest.raises(RuntimeError, match="boom"):
+            run("sweep", small, "--out", out_dir)
+        assert {p: p.read_bytes() for p in out_dir.rglob("*") if p.is_file()} == before
+        assert not list(out_dir.glob(".reports-*"))
+
+    @pytest.mark.parametrize("failing", ["report", "frontier.csv.tmp"])
+    def test_write_failure_is_io_error(self, run, tmp_path, space_file, monkeypatch, failing):
+        out_dir = tmp_path / "out"
+        assert run("sweep", space_file, "--out", out_dir)[0] == 0
+        reports = {p.name: p.read_bytes() for p in (out_dir / "reports").iterdir()}
+        real = Path.write_text
+
+        def write_text(path, *args, **kwargs):
+            kind = "report" if path.parent.name.startswith(".reports-") else path.name
+            if kind == failing:
+                raise OSError(28, "No space left on device", str(path))
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", write_text)
+        code, out, err = run("sweep", space_file, "--out", out_dir)
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "io"
+        assert "No space left on device" in payload["message"]
+        assert {p.name: p.read_bytes() for p in (out_dir / "reports").iterdir()} == reports
+        assert not list(out_dir.glob(".reports-*"))
 
     def test_duplicate_annotation_rejected(self, run, tmp_path, space_file):
         ann = tmp_path / "dup.csv"

@@ -5,6 +5,7 @@ independently of the bisection/filter code under test.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -310,6 +311,20 @@ class TestBudgetMatcher:
         f_hi = cost_report(hi_cfg.spec, hi_cfg.eval).flops
         assert f_lo <= target <= f_hi
         assert 6.4 < res.relaxed_value < 6.6
+
+    def test_tolerance_is_exact_above_2_53(self):
+        # deviation 1_000_002 exceeds tol * target by a sliver that the
+        # float product (target rounded to 53 bits) rounds away
+        target, tol = 6 * 2**24 * 579_923_232 + 1_000_002, 1.7130073055272696e-11
+        res = match_flops_budget(
+            vit_small(), EvalConfig(batch_size=2**24), K.DEPTH, target, tol=tol,
+            value_range=(1, 48),
+        )
+        assert target > 2**53 and res.deviation == 1_000_002
+        assert res.deviation <= tol * target  # what float arithmetic says
+        assert res.deviation > Fraction(tol) * target
+        assert res.within_tol is False
+        assert res.bracket is not None
 
     def test_resolution_knob_on_cnn(self):
         base = cost_report(resnet50(), EvalConfig(input_resolution=224)).flops
