@@ -43,6 +43,7 @@ __all__ = [
     "validate_cnn",
     "validate_vit",
     "validate_spec",
+    "checked_int",
     "spec_to_dict",
     "spec_from_dict",
     "spec_to_json",
@@ -486,6 +487,27 @@ _LAYER_TAGS: dict[type, str] = {
 _TAG_TO_LAYER = {tag: cls for cls, tag in _LAYER_TAGS.items()}
 
 
+def checked_int(value: Any, field: str) -> int:
+    """``value`` when it is an int; a bool, float, string or null is not."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{field} must be an integer, got {json.dumps(value)}")
+    return value
+
+
+def _check_types(cls: type, values: dict[str, Any], where: str) -> None:
+    """Check the values given for ``cls``'s ``int``, ``int | None`` and
+    ``bool`` fields (annotations are strings here); missing keys are left
+    to the constructor."""
+    for f in fields(cls):
+        if f.name not in values:
+            continue
+        value = values[f.name]
+        if f.type == "int" or (f.type == "int | None" and value is not None):
+            checked_int(value, where + f.name)
+        elif f.type == "bool" and not isinstance(value, bool):
+            raise ValueError(f"{where}{f.name} must be true or false, got {json.dumps(value)}")
+
+
 def _layer_to_dict(layer: CnnLayer) -> dict[str, Any]:
     d: dict[str, Any] = {"type": _LAYER_TAGS[type(layer)]}
     for f in fields(layer):
@@ -498,13 +520,14 @@ def _layer_from_dict(i: int, d: dict[str, Any]) -> CnnLayer:
         raise ValueError(f"layer {i}: expected an object, got {type(d).__name__}")
     work = dict(d)
     tag = work.pop("type", None)
-    if tag not in _TAG_TO_LAYER:
+    if not isinstance(tag, str) or tag not in _TAG_TO_LAYER:
         raise ValueError(f"layer {i}: unknown layer type {tag!r}")
     cls = _TAG_TO_LAYER[tag]
     allowed = {f.name for f in fields(cls)}
     unknown = set(work) - allowed
     if unknown:
         raise ValueError(f"layer {i}: unknown key(s) {sorted(unknown)} for {tag}")
+    _check_types(cls, work, f"layer {i}: ")
     try:
         return cls(**work)
     except TypeError as exc:
@@ -532,6 +555,7 @@ def spec_from_dict(d: dict[str, Any]) -> ArchSpec:
         unknown = set(work) - allowed
         if unknown:
             raise ValueError(f"unknown key(s) {sorted(unknown)} for vit spec")
+        _check_types(ViTSpec, work, "")
         try:
             return ViTSpec(**work)
         except TypeError as exc:
@@ -545,6 +569,7 @@ def spec_from_dict(d: dict[str, Any]) -> ArchSpec:
         if not isinstance(layers_raw, list):
             raise ValueError("cnn spec needs a 'layers' array")
         layers = tuple(_layer_from_dict(i, ld) for i, ld in enumerate(layers_raw))
+        _check_types(CnnSpec, work, "")
         try:
             return CnnSpec(name=work["name"], input_channels=work["input_channels"], layers=layers)
         except KeyError as exc:

@@ -35,6 +35,7 @@ from .arch import (
     DTYPES,
     EvalConfig,
     FlopConvention,
+    checked_int,
     dtype_from_name,
     load_spec,
     validate_spec,
@@ -50,6 +51,7 @@ from .cost import (
 from .presets import PRESETS
 from .scaling import KIND_BY_KEY, ScalingError, TransformKind
 from .search import (
+    FRONTIER_COLUMNS,
     AnnotationTable,
     FrontierPoint,
     NoFeasibleCandidate,
@@ -63,6 +65,7 @@ from .search import (
     match_flops_budget,
     pareto_front,
     point_from_report,
+    read_frontier_csv,
 )
 
 EXIT_OK = 0
@@ -70,14 +73,6 @@ EXIT_IO = 1
 EXIT_VALIDATION = 2
 EXIT_INFEASIBLE = 3
 EXIT_USAGE = 64
-
-FRONTIER_COLUMNS = (
-    "config_id",
-    "flops",
-    "peak_activation_bytes",
-    "model_bytes",
-    "total_memory_bytes",
-)
 
 logger = logging.getLogger(__name__)
 
@@ -199,13 +194,6 @@ def _cmd_cost(args: argparse.Namespace) -> int:
 # sweep
 
 
-def _checked_int(value: Any, field: str) -> int:
-    """``value`` when it is an int; a bool, float, string or null is not."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{field} must be an integer, got {json.dumps(value)}")
-    return value
-
-
 def _parse_eval_dict(d: dict[str, Any], where: str) -> EvalConfig:
     allowed = {"batch_size", "dtype", "input_resolution", "flop_convention"}
     unknown = set(d) - allowed
@@ -213,11 +201,11 @@ def _parse_eval_dict(d: dict[str, Any], where: str) -> EvalConfig:
         raise ValueError(f"{where}: unknown key(s) {sorted(unknown)}")
     kwargs: dict[str, Any] = {}
     if "batch_size" in d:
-        kwargs["batch_size"] = _checked_int(d["batch_size"], f"{where}: batch_size")
+        kwargs["batch_size"] = checked_int(d["batch_size"], f"{where}: batch_size")
     if "dtype" in d:
         kwargs["dtype"] = dtype_from_name(str(d["dtype"]))
     if d.get("input_resolution") is not None:  # null: the spec default
-        kwargs["input_resolution"] = _checked_int(
+        kwargs["input_resolution"] = checked_int(
             d["input_resolution"], f"{where}: input_resolution"
         )
     if "flop_convention" in d:
@@ -299,7 +287,7 @@ def _load_space(path: str) -> SweepSpace:
         axes.append(SweepAxis(KIND_BY_KEY[kind_key], tuple(values)))
     kwargs: dict[str, Any] = {}
     if "cap" in data:
-        kwargs["cap"] = _checked_int(data["cap"], "space file: cap")
+        kwargs["cap"] = checked_int(data["cap"], "space file: cap")
     return SweepSpace(
         base_name=base_name,
         base_spec=base_spec,
@@ -313,6 +301,23 @@ def _write_atomic(path: Path, data: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(data, encoding="utf-8")
     os.replace(tmp, path)
+
+
+# The names _cmd_sweep stages reports/ under, before and during its swap.
+_STAGING_NAME = re.compile(r"\.reports-[0-9a-f]{12}(\.old)?")
+
+
+def _remove_stale_staging(out_dir: Path) -> None:
+    """Remove staging directories that a run killed before its swap left."""
+    with os.scandir(out_dir) as entries:
+        stale = [
+            entry.path
+            for entry in entries
+            if _STAGING_NAME.fullmatch(entry.name) and entry.is_dir(follow_symlinks=False)
+        ]
+    for path in stale:
+        shutil.rmtree(path)
+        logger.warning("removed stale staging directory %s", path)
 
 
 def _swap_in(staged: Path, target: Path) -> None:
@@ -356,40 +361,6 @@ def _frontier_rows(
         row.extend(_format_metric(p.annotations.get(m)) for m in metrics)
         rows.append(row)
     return rows
-
-
-def read_frontier_csv(path: str | Path) -> tuple[list[FrontierPoint], list[str]]:
-    """Re-ingest a frontier.csv; returns (points, metric column names)."""
-    text = Path(path).read_text(encoding="utf-8")
-    reader = csv.reader(text.splitlines())
-    header = next(reader)
-    if tuple(header[: len(FRONTIER_COLUMNS)]) != FRONTIER_COLUMNS:
-        raise ValueError(
-            f"frontier header must start with {','.join(FRONTIER_COLUMNS)}"
-        )
-    metrics = list(header[len(FRONTIER_COLUMNS) :])
-    points: list[FrontierPoint] = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        annotations = {
-            m: float(cell)
-            for m, cell in zip(metrics, row[len(FRONTIER_COLUMNS) :])
-            if cell != ""
-        }
-        if not all(map(math.isfinite, annotations.values())):
-            raise ValueError(f"line {lineno}: metric values must be finite")
-        points.append(
-            FrontierPoint(
-                config_id=row[0],
-                flops=int(row[1]),
-                peak_activation_bytes=int(row[2]),
-                model_bytes=int(row[3]),
-                total_memory_bytes=int(row[4]),
-                annotations=annotations,
-            )
-        )
-    return points, metrics
 
 
 def _series_label(space: SweepSpace, transforms: Sequence) -> str:
@@ -505,6 +476,7 @@ def _cmd_sweep(args: argparse.Namespace, argv: Sequence[str]) -> int:
             _emit_error("infeasible", "every combination in the space was rejected")
             return EXIT_INFEASIBLE
         _swap_in(staging, out_dir / "reports")
+        _remove_stale_staging(out_dir)
 
         metrics = table.metrics()
         pareto = pareto_front(points)

@@ -30,7 +30,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from .arch import (
     Activation,
@@ -88,8 +88,7 @@ class ShapeMismatch(Exception):
         self.message = message
 
 
-@dataclass(frozen=True, slots=True)
-class LayerCost:
+class LayerCost(NamedTuple):
     layer_index: int
     name: str
     out_shape: TensorShape
@@ -159,6 +158,7 @@ def _cnn_walk(spec: CnnSpec, cfg: EvalConfig) -> list[LayerCost]:
     e = cfg.dtype.bytes_per_element
     input_shape = (spec.input_channels, res, res)
     shapes: list[tuple[int, int, int]] = []  # (c, h, w) per layer output
+    tensor_shapes: dict[tuple[int, ...], TensorShape] = {}  # one per distinct shape
     costs: list[LayerCost] = []
 
     def elems(shape: tuple[int, int, int]) -> int:
@@ -250,11 +250,10 @@ def _cnn_walk(spec: CnnSpec, cfg: EvalConfig) -> list[LayerCost]:
 
         shapes.append(out)
         act_elems = sum(elems(s) for s in in_shapes) + elems(out)
-        out_shape = (
-            TensorShape((layer.out_features,))
-            if isinstance(layer, Linear)
-            else TensorShape(out)
-        )
+        dims = (layer.out_features,) if isinstance(layer, Linear) else out
+        out_shape = tensor_shapes.get(dims)
+        if out_shape is None:
+            out_shape = tensor_shapes[dims] = TensorShape(dims)
         costs.append(
             LayerCost(
                 layer_index=i,
@@ -353,12 +352,15 @@ def vit_cost_full(spec: ViTSpec, cfg: EvalConfig | None = None) -> CostReport:
 
     Linear operators carry no bias terms, matching the closed-form parameter
     formula; the score matrix is materialized, so the activation footprint
-    here is the unfused one.
+    here is the unfused one. Every block has the same operators, so one
+    block's 14 rows are costed once and repeated ``depth`` times under the
+    ``block{i}.`` prefixes; the totals take the block sums times ``depth``.
     """
     cfg = cfg or EvalConfig()
     n = cfg.resolution_for(spec)
     b = cfg.batch_size
     e = cfg.dtype.bytes_per_element
+    be = b * e
     d = spec.hidden_dim
     k = spec.num_heads
     mlp = spec.mlp_dim
@@ -367,68 +369,58 @@ def vit_cost_full(spec: ViTSpec, cfg: EvalConfig | None = None) -> CostReport:
     p = spec.patch_size
     r = n * p
     in_ch = spec.input_channels
+    classes = spec.num_classes
 
     token_shape = TensorShape((n2, d))
-    ops: list[tuple[str, TensorShape, int, int, int]] = []
-    # (name, out_shape, flops, activation_elems, params)
-
-    ops.append(
+    score_shape = TensorShape((k, n2, n2))
+    mlp_shape = TensorShape((n2, mlp))
+    norm = (_LAYER_NORM_FLOPS_PER_ELEM * n2 * d, 2 * n2 * d, 2 * d)
+    # (name, out_shape, flops, activation_elems, params) per sample
+    block = [
+        ("norm1", token_shape, *norm),
+        ("q_proj", token_shape, 2 * n2 * d * d, 2 * n2 * d, d * d),
+        ("k_proj", token_shape, 2 * n2 * d * d, 2 * n2 * d, d * d),
+        ("v_proj", token_shape, 2 * n2 * d * d, 2 * n2 * d, d * d),
+        ("attn_scores", score_shape, 2 * n4 * d, 2 * n2 * d + k * n4, 0),
+        ("attn_softmax", score_shape, 3 * k * n4, 2 * k * n4, 0),
+        ("attn_av", token_shape, 2 * n4 * d, k * n4 + 2 * n2 * d, 0),
+        ("out_proj", token_shape, 2 * n2 * d * d, 2 * n2 * d, d * d),
+        ("attn_residual", token_shape, n2 * d, 3 * n2 * d, 0),
+        ("norm2", token_shape, *norm),
+        ("mlp_fc1", mlp_shape, 2 * n2 * d * mlp, n2 * d + n2 * mlp, d * mlp),
+        ("mlp_act", mlp_shape, n2 * mlp, 2 * n2 * mlp, 0),
+        ("mlp_fc2", token_shape, 2 * n2 * mlp * d, n2 * mlp + n2 * d, mlp * d),
+        ("mlp_residual", token_shape, n2 * d, 3 * n2 * d, 0),
+    ]
+    # patch_embed runs before the blocks, the other three after them
+    edges = [
         (
             "patch_embed",
             token_shape,
             2 * n2 * (in_ch * p * p) * d,
             in_ch * r * r + n2 * d,
             in_ch * p * p * d,
-        )
-    )
-    for i in range(spec.depth):
-        pre = f"block{i}."
-        norm = (_LAYER_NORM_FLOPS_PER_ELEM * n2 * d, 2 * n2 * d, 2 * d)
-        ops.append((pre + "norm1", token_shape, *norm))
-        for proj in ("q_proj", "k_proj", "v_proj"):
-            ops.append((pre + proj, token_shape, 2 * n2 * d * d, 2 * n2 * d, d * d))
-        score_shape = TensorShape((k, n2, n2))
-        ops.append((pre + "attn_scores", score_shape, 2 * n4 * d, 2 * n2 * d + k * n4, 0))
-        ops.append((pre + "attn_softmax", score_shape, 3 * k * n4, 2 * k * n4, 0))
-        ops.append((pre + "attn_av", token_shape, 2 * n4 * d, k * n4 + 2 * n2 * d, 0))
-        ops.append((pre + "out_proj", token_shape, 2 * n2 * d * d, 2 * n2 * d, d * d))
-        ops.append((pre + "attn_residual", token_shape, n2 * d, 3 * n2 * d, 0))
-        ops.append((pre + "norm2", token_shape, *norm))
-        mlp_shape = TensorShape((n2, mlp))
-        ops.append((pre + "mlp_fc1", mlp_shape, 2 * n2 * d * mlp, n2 * d + n2 * mlp, d * mlp))
-        ops.append((pre + "mlp_act", mlp_shape, n2 * mlp, 2 * n2 * mlp, 0))
-        ops.append((pre + "mlp_fc2", token_shape, 2 * n2 * mlp * d, n2 * mlp + n2 * d, mlp * d))
-        ops.append((pre + "mlp_residual", token_shape, n2 * d, 3 * n2 * d, 0))
-    ops.append(
-        ("final_norm", token_shape, _LAYER_NORM_FLOPS_PER_ELEM * n2 * d, 2 * n2 * d, 2 * d)
-    )
-    pooled_shape = TensorShape((d,))
-    ops.append(("head_pool", pooled_shape, n2 * d, n2 * d + d, 0))
-    cls_shape = TensorShape((spec.num_classes,))
-    ops.append(
-        (
-            "head_linear",
-            cls_shape,
-            2 * d * spec.num_classes,
-            d + spec.num_classes,
-            d * spec.num_classes,
-        )
-    )
+        ),
+        ("final_norm", token_shape, *norm),
+        ("head_pool", TensorShape((d,)), n2 * d, n2 * d + d, 0),
+        ("head_linear", TensorShape((classes,)), 2 * d * classes, d + classes, d * classes),
+    ]
+    # With batch and element width folded in, each op is a LayerCost row
+    # without its index: (name, out_shape, flops, activation_bytes, params).
+    block = [(name, s, b * f, be * a, w) for name, s, f, a, w in block]
+    edges = [(name, s, b * f, be * a, w) for name, s, f, a, w in edges]
 
-    per_layer = tuple(
-        LayerCost(
-            layer_index=i,
-            name=name,
-            out_shape=shape,
-            flops=b * flops,
-            activation_bytes=act * b * e,
-            param_count=params,
-        )
-        for i, (name, shape, flops, act, params) in enumerate(ops)
-    )
-    flops_total = sum(c.flops for c in per_layer)
-    peak = max(c.activation_bytes for c in per_layer)
-    model = sum(c.param_count for c in per_layer) * e
+    depth = spec.depth
+    ops = edges[:1]
+    for i in range(depth):
+        pre = f"block{i}."
+        ops += [(pre + name, s, f, a, w) for name, s, f, a, w in block]
+    ops += edges[1:]
+    per_layer = tuple([LayerCost._make((i, *op)) for i, op in enumerate(ops)])
+
+    flops = sum(op[2] for op in edges) + depth * sum(op[2] for op in block)
+    model = (sum(op[4] for op in edges) + depth * sum(op[4] for op in block)) * e
+    peak = max(op[3] for op in (edges + block if depth else edges))
     return CostReport(
         spec_name=spec.name,
         convention=FlopConvention.FULL_COUNT,
@@ -436,7 +428,7 @@ def vit_cost_full(spec: ViTSpec, cfg: EvalConfig | None = None) -> CostReport:
         dtype_name=cfg.dtype.name,
         bytes_per_element=e,
         resolution=n,
-        flops=flops_total,
+        flops=flops,
         peak_activation_bytes=peak,
         model_bytes=model,
         total_memory_bytes=model + peak,
@@ -481,6 +473,16 @@ def param_count(spec: ArchSpec) -> int:
 # Report serialization.
 
 
+def _shape_text(report: CostReport) -> list[str]:
+    """``str(c.out_shape)`` per row, each distinct shape formatted once (keyed
+    by its dims tuple, which hashes in C; a TensorShape hashes in Python)."""
+    text: dict[tuple[int, ...], str] = {}
+    for c in report.per_layer:
+        if c.out_shape.dims not in text:
+            text[c.out_shape.dims] = str(c.out_shape)
+    return [text[c.out_shape.dims] for c in report.per_layer]
+
+
 def report_to_dict(report: CostReport) -> dict[str, Any]:
     return {
         "spec_name": report.spec_name,
@@ -494,14 +496,16 @@ def report_to_dict(report: CostReport) -> dict[str, Any]:
         "total_memory_bytes": report.total_memory_bytes,
         "per_layer": [
             {
-                "layer_index": c.layer_index,
-                "name": c.name,
-                "out_shape": str(c.out_shape) if c.out_shape is not None else "",
-                "flops": c.flops,
-                "activation_bytes": c.activation_bytes,
-                "param_count": c.param_count,
+                "layer_index": i,
+                "name": name,
+                "out_shape": shape,
+                "flops": flops,
+                "activation_bytes": act,
+                "param_count": params,
             }
-            for c in report.per_layer
+            for (i, name, _, flops, act, params), shape in zip(
+                report.per_layer, _shape_text(report)
+            )
         ],
     }
 
@@ -517,15 +521,10 @@ def report_to_csv(report: CostReport) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for c in report.per_layer:
-        writer.writerow(
-            [
-                c.layer_index,
-                c.name,
-                str(c.out_shape) if c.out_shape is not None else "",
-                c.flops,
-                c.activation_bytes,
-                c.param_count,
-            ]
+    writer.writerows(
+        (i, name, shape, flops, act, params)
+        for (i, name, _, flops, act, params), shape in zip(
+            report.per_layer, _shape_text(report)
         )
+    )
     return buf.getvalue()

@@ -46,6 +46,8 @@ __all__ = [
     "pareto_front",
     "DEFAULT_OBJECTIVES",
     "AnnotationTable",
+    "FRONTIER_COLUMNS",
+    "read_frontier_csv",
     "TargetUnreachable",
     "MatchResult",
     "match_flops_budget",
@@ -278,7 +280,8 @@ def _scan_front(keyed: list[tuple[tuple, FrontierPoint]]) -> list[FrontierPoint]
 
 
 # --------------------------------------------------------------------------
-# Accuracy annotations (never predicted -- always supplied by the caller).
+# Accuracy annotations (never predicted -- always supplied by the caller),
+# and the frontier.csv that carries them along with the costs.
 
 
 ANNOTATION_HEADER = ("config_id", "metric", "value")
@@ -354,6 +357,49 @@ class AnnotationTable:
 
     def __len__(self) -> int:
         return len(self.values)
+
+
+FRONTIER_COLUMNS = (
+    "config_id",
+    "flops",
+    "peak_activation_bytes",
+    "model_bytes",
+    "total_memory_bytes",
+)
+
+
+def read_frontier_csv(path: str | Path) -> tuple[list[FrontierPoint], list[str]]:
+    """Re-ingest a frontier.csv; returns (points, metric column names)."""
+    text = Path(path).read_text(encoding="utf-8")
+    reader = csv.reader(text.splitlines())
+    header = next(reader)
+    if tuple(header[: len(FRONTIER_COLUMNS)]) != FRONTIER_COLUMNS:
+        raise ValueError(
+            f"frontier header must start with {','.join(FRONTIER_COLUMNS)}"
+        )
+    metrics = list(header[len(FRONTIER_COLUMNS) :])
+    points: list[FrontierPoint] = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        annotations = {
+            m: float(cell)
+            for m, cell in zip(metrics, row[len(FRONTIER_COLUMNS) :])
+            if cell != ""
+        }
+        if not all(map(math.isfinite, annotations.values())):
+            raise ValueError(f"line {lineno}: metric values must be finite")
+        points.append(
+            FrontierPoint(
+                config_id=row[0],
+                flops=int(row[1]),
+                peak_activation_bytes=int(row[2]),
+                model_bytes=int(row[3]),
+                total_memory_bytes=int(row[4]),
+                annotations=annotations,
+            )
+        )
+    return points, metrics
 
 
 # --------------------------------------------------------------------------

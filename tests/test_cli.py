@@ -1,19 +1,23 @@
 """End-to-end CLI behavior: exit codes, stdout payloads, written files."""
 
+import contextlib
+import io
 import json
 import logging
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import visioncost.cli
 import visioncost.search
 from visioncost.arch import (
-    CnnSpec, Conv2d, EvalConfig, FlopConvention, GlobalPool, Linear, save_spec,
+    CnnSpec, Conv2d, EvalConfig, FlopConvention, GlobalPool, Linear, save_spec, spec_to_dict,
 )
 from visioncost.cli import main
 from visioncost.cost import cost_report, report_to_dict
-from visioncost.presets import resnet50, vit_small
+from visioncost.presets import PRESETS, resnet50, vit_small
 from visioncost.scaling import parse_config_id
 
 
@@ -137,10 +141,99 @@ class TestCost:
         assert code == 3
         assert json.loads(err)["error"] == "infeasible_resolution"
 
+    @pytest.mark.parametrize(
+        "base, path, value, message",
+        [
+            ("vit_small", ["patch_size"], "16", 'patch_size must be an integer, got "16"'),
+            ("vit_small", ["patch_size"], 16.5, "patch_size must be an integer, got 16.5"),
+            ("vit_small", ["depth"], True, "depth must be an integer, got true"),
+            ("vit_small", ["num_classes"], None, "num_classes must be an integer, got null"),
+            ("resnet50", ["input_channels"], 3.0, "input_channels must be an integer, got 3.0"),
+            ("resnet50", ["layers", 0, "kernel"], "7", 'layer 0: kernel must be an integer, got "7"'),
+            ("resnet50", ["layers", 4, "input_layer_index"], 3.5,
+             "layer 4: input_layer_index must be an integer, got 3.5"),
+            ("resnet50", ["layers", 1, "ch"], False, "layer 1: ch must be an integer, got false"),
+            ("resnet50", ["layers", 0, "has_bias"], "false",
+             'layer 0: has_bias must be true or false, got "false"'),
+        ],
+    )
+    def test_wrong_spec_field_type(self, run, tmp_path, base, path, value, message):
+        data = spec_to_dict(PRESETS[base].build())
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps(data))
+        code, out, err = run("cost", p)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "spec"
+        assert payload["message"] == message
+
     def test_bad_batch_is_usage_error(self, run, vit_file):
         code, _, err = run("cost", vit_file, "--batch", 0)
         assert code == 64
         assert "usage error" in err
+
+
+def _leaf_paths(node, path=()):
+    """Key paths of every scalar in a spec dict, layer fields included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from _leaf_paths(value, path + (key,))
+        else:
+            yield path + (key,)
+
+
+_MUTANTS = st.one_of(
+    st.sampled_from([None, True, False, "16", "", 16.5, 2.0, -1, 0, [], {}]),
+    st.integers(-2, 40),
+)
+
+
+class TestSpecFuzz:
+    """A preset spec with a few fields replaced is either costed with every
+    count an int, or refused with one JSON line: never a traceback."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        base=st.sampled_from(["vit_small", "resnet50", "seg_backbone_gw16"]),
+        convention=st.sampled_from(["closed_form", "full_count"]),
+        data=st.data(),
+    )
+    def test_mutated_spec(self, tmp_path_factory, base, convention, data):
+        spec = spec_to_dict(PRESETS[base].build())
+        paths = sorted(_leaf_paths(spec), key=repr)
+        for path in data.draw(st.lists(st.sampled_from(paths), min_size=1, max_size=3)):
+            target = spec
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = data.draw(_MUTANTS)
+        p = tmp_path_factory.mktemp("fuzz") / "spec.json"
+        p.write_text(json.dumps(spec))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["cost", str(p), "--convention", convention])
+        if code == 0:
+            report = json.loads(out.getvalue())
+            counts = [report[k] for k in ("flops", "peak_activation_bytes", "model_bytes",
+                                          "total_memory_bytes", "batch_size", "resolution")]
+            for row in report["per_layer"]:
+                counts += [row[k] for k in ("layer_index", "flops", "activation_bytes",
+                                            "param_count")]
+            assert all(type(c) is int for c in counts)
+            assert err.getvalue() == ""
+        else:
+            # 3: a well-formed spec that is infeasible at the default resolution
+            assert code in (2, 3)
+            assert out.getvalue() == ""
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1
+            assert "error" in json.loads(lines[0])
 
 
 class TestUsage:
@@ -309,6 +402,33 @@ class TestSweep:
         # The swapped-in directory has the mode a plain mkdir gives.
         (tmp_path / "probe").mkdir()
         assert (out_dir / "reports").stat().st_mode == (tmp_path / "probe").stat().st_mode
+
+    def test_stale_staging_directories_are_removed(self, run, tmp_path, space_file, caplog):
+        out_dir = tmp_path / "out"
+        stale = [".reports-0123456789ab", ".reports-fedcba987654.old"]
+        for name in stale:
+            (out_dir / name / "sub").mkdir(parents=True)
+            (out_dir / name / "sub" / "x.json").write_text("{}")
+        kept = {
+            ".reports-0123456789AB": "upper-case hex",
+            ".reports-0123456789abc": "13 digits",
+            ".reports-0123456789ab.older": "other suffix",
+            "reports-0123456789ab": "no dot",
+            "notes.txt": "a user's file",
+        }
+        for name, text in kept.items():
+            (out_dir / name).write_text(text)
+        (out_dir / ".reports-00000000000f").write_text("a file, not a staging directory")
+        with caplog.at_level(logging.WARNING):
+            assert run("sweep", space_file, "--out", out_dir)[0] == 0
+        names = {p.name for p in out_dir.iterdir()}
+        assert not names & set(stale)
+        assert {name: (out_dir / name).read_text() for name in kept} == kept
+        assert ".reports-00000000000f" in names
+        removed = [r.getMessage() for r in caplog.records if "stale staging" in r.getMessage()]
+        assert sorted(removed) == sorted(
+            f"removed stale staging directory {out_dir / name}" for name in stale
+        )
 
     def test_rejected_run_leaves_earlier_output_untouched(self, run, tmp_path, space_file):
         out_dir = tmp_path / "out"

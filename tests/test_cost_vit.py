@@ -5,10 +5,13 @@ attention-times-values, softmax, projection, MLP) and frozen at a few
 anchor sizes; the graph-walk convention is checked op name by op name.
 """
 
+import dataclasses
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from visioncost.arch import EvalConfig, FlopConvention, ViTSpec
+from visioncost.arch import DTYPES, EvalConfig, FlopConvention, ViTSpec
 from visioncost.cost import (
     cost_report,
     param_count,
@@ -219,3 +222,87 @@ class TestFullCount:
     def test_vit_base_anchor(self):
         rep = cost_report(vit_base(), EvalConfig())
         assert rep.model_bytes == 12 * 7_077_888 * 4
+
+
+# --------------------------------------------------------------------------
+# full_count rows against a per-operator loop
+
+
+def oracle_full_rows(spec: ViTSpec, n: int, batch: int, bytes_per_element: int):
+    """(name, shape, flops, activation_bytes, params) per operator, built
+    one operator at a time from what each operator reads and writes."""
+    t, d, k, mlp = n * n, spec.hidden_dim, spec.num_heads, spec.mlp_dim
+    rows = []
+
+    def op(name, ins, out, flops, params=0):
+        # ins / out: per-sample tensor shapes; footprint = inputs + output
+        elems = [1] * (len(ins) + 1)
+        for j, shape in enumerate([*ins, out]):
+            for dim in shape:
+                elems[j] *= dim
+        rows.append(
+            (name, "x".join(map(str, out)), batch * flops,
+             batch * bytes_per_element * sum(elems), params)
+        )
+
+    def linear(name, fan_in, fan_out):
+        op(name, [(t, fan_in)], (t, fan_out), 2 * t * fan_in * fan_out, fan_in * fan_out)
+
+    def layer_norm(name):
+        op(name, [(t, d)], (t, d), 5 * t * d, 2 * d)
+
+    patch = spec.input_channels * spec.patch_size**2
+    side = n * spec.patch_size
+    op("patch_embed", [(spec.input_channels, side, side)], (t, d), 2 * t * patch * d, patch * d)
+    for i in range(spec.depth):
+        b = f"block{i}."
+        layer_norm(b + "norm1")
+        for proj in ("q_proj", "k_proj", "v_proj"):
+            linear(b + proj, d, d)
+        op(b + "attn_scores", [(t, d), (t, d)], (k, t, t), 2 * t * t * d)
+        op(b + "attn_softmax", [(k, t, t)], (k, t, t), 3 * k * t * t)
+        op(b + "attn_av", [(k, t, t), (t, d)], (t, d), 2 * t * t * d)
+        linear(b + "out_proj", d, d)
+        op(b + "attn_residual", [(t, d), (t, d)], (t, d), t * d)
+        layer_norm(b + "norm2")
+        linear(b + "mlp_fc1", d, mlp)
+        op(b + "mlp_act", [(t, mlp)], (t, mlp), t * mlp)
+        linear(b + "mlp_fc2", mlp, d)
+        op(b + "mlp_residual", [(t, d), (t, d)], (t, d), t * d)
+    layer_norm("final_norm")
+    op("head_pool", [(t, d)], (d,), t * d)
+    classes = spec.num_classes
+    op("head_linear", [(d,)], (classes,), 2 * d * classes, d * classes)
+    return rows
+
+
+class TestFullCountRows:
+    @pytest.mark.parametrize("preset", [vit_small, vit_base])
+    @pytest.mark.parametrize("depth", [0, 1, 12])
+    def test_every_row_matches_the_operator_loop(self, preset, depth):
+        spec = dataclasses.replace(preset(), depth=depth)
+        for n in (6, 14, 24):
+            for batch in (1, 3):
+                for dtype in DTYPES.values():
+                    rep = cost_report(spec, EvalConfig(
+                        batch_size=batch, dtype=dtype, input_resolution=n,
+                        flop_convention=FlopConvention.FULL_COUNT,
+                    ))
+                    want = oracle_full_rows(spec, n, batch, dtype.bytes_per_element)
+                    got = [
+                        (c.name, str(c.out_shape), c.flops, c.activation_bytes, c.param_count)
+                        for c in rep.per_layer
+                    ]
+                    assert got == want
+                    assert [c.layer_index for c in rep.per_layer] == list(range(len(want)))
+                    assert rep.flops == sum(row[2] for row in want)
+                    assert rep.peak_activation_bytes == max(row[3] for row in want)
+                    assert rep.model_bytes == sum(row[4] for row in want) * dtype.bytes_per_element
+                    assert rep.total_memory_bytes == rep.model_bytes + rep.peak_activation_bytes
+
+    def test_rows_are_immutable(self):
+        rep = cost_report(vit_small(), EvalConfig(flop_convention=FlopConvention.FULL_COUNT))
+        row = rep.per_layer[0]
+        with pytest.raises(AttributeError):
+            row.flops = 0
+        assert rep.per_layer[0].flops == row.flops > 0
