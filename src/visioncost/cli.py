@@ -45,7 +45,6 @@ from .cost import (
     ShapeMismatch,
     cost_report,
     report_to_csv,
-    report_to_dict,
     report_to_json,
 )
 from .presets import PRESETS
@@ -203,7 +202,7 @@ def _parse_eval_dict(d: dict[str, Any], where: str) -> EvalConfig:
     if "batch_size" in d:
         kwargs["batch_size"] = checked_int(d["batch_size"], f"{where}: batch_size")
     if "dtype" in d:
-        kwargs["dtype"] = dtype_from_name(str(d["dtype"]))
+        kwargs["dtype"] = dtype_from_name(_checked_str(d["dtype"], f"{where}: dtype"))
     if d.get("input_resolution") is not None:  # null: the spec default
         kwargs["input_resolution"] = checked_int(
             d["input_resolution"], f"{where}: input_resolution"
@@ -233,7 +232,16 @@ def _check_axis_values(i: int, kind: TransformKind, values: list) -> None:
             raise ValueError(f"axis {i}: {value!r} is not a valid {kind.value} value")
 
 
+def _checked_str(value: Any, field: str) -> str:
+    """``value`` when it is a string; a number, list or null is not."""
+    if not isinstance(value, str):
+        raise ValueError(f"{field} must be a string, got {json.dumps(value)}")
+    return value
+
+
 def _load_space(path: str) -> SweepSpace:
+    """The space in JSON file ``path``. An OSError names the file it could
+    not read: the space file or the spec file it names."""
     base_dir = Path(path).parent
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(data, dict):
@@ -245,7 +253,7 @@ def _load_space(path: str) -> SweepSpace:
     if ("base" in data) == ("spec_file" in data):
         raise ValueError("space file needs exactly one of 'base' or 'spec_file'")
     if "base" in data:
-        name = str(data["base"])
+        name = _checked_str(data["base"], "space file: base")
         if name not in PRESETS:
             known = ", ".join(sorted(PRESETS))
             raise ValueError(f"unknown preset {name!r} (known: {known})")
@@ -253,8 +261,13 @@ def _load_space(path: str) -> SweepSpace:
         base_name = name
         base_eval = PRESETS[name].default_eval
     else:
-        spec_path = base_dir / str(data["spec_file"])
-        base_spec = load_spec(spec_path)
+        spec_path = base_dir / _checked_str(data["spec_file"], "space file: spec_file")
+        try:
+            base_spec = load_spec(spec_path)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, str(spec_path)) from None
+        except ValueError as exc:  # a JSONDecodeError too: its position is the spec's
+            raise ValueError(f"spec {spec_path}: {exc}") from None
         violations = validate_spec(base_spec)
         if violations:
             raise ValueError(
@@ -274,7 +287,7 @@ def _load_space(path: str) -> SweepSpace:
     for i, axis in enumerate(axes_raw):
         if not isinstance(axis, dict) or set(axis) != {"kind", "values"}:
             raise ValueError(f"axis {i} must be an object with 'kind' and 'values'")
-        kind_key = str(axis["kind"])
+        kind_key = _checked_str(axis["kind"], f"axis {i}: kind")
         if kind_key not in KIND_BY_KEY:
             raise ValueError(
                 f"axis {i}: unknown kind {kind_key!r} "
@@ -288,6 +301,8 @@ def _load_space(path: str) -> SweepSpace:
     kwargs: dict[str, Any] = {}
     if "cap" in data:
         kwargs["cap"] = checked_int(data["cap"], "space file: cap")
+        if kwargs["cap"] < 1:
+            raise ValueError(f"space file: cap must be >= 1, got {kwargs['cap']}")
     return SweepSpace(
         base_name=base_name,
         base_spec=base_spec,
@@ -411,7 +426,7 @@ def _cmd_sweep(args: argparse.Namespace, argv: Sequence[str]) -> int:
     try:
         space = _load_space(args.space)
     except OSError as exc:
-        _emit_error("io", f"cannot read {args.space}: {exc}")
+        _emit_error("io", f"cannot read {exc.filename or args.space}: {exc}")
         return EXIT_IO
     except json.JSONDecodeError as exc:
         _emit_error("parse", str(exc), line=exc.lineno, column=exc.colno, path=args.space)
@@ -429,7 +444,7 @@ def _cmd_sweep(args: argparse.Namespace, argv: Sequence[str]) -> int:
         except OSError as exc:
             _emit_error("io", f"cannot read {args.annotations}: {exc}")
             return EXIT_IO
-        except ValueError as exc:
+        except (ValueError, csv.Error) as exc:
             _emit_error("annotations", str(exc), path=args.annotations)
             return EXIT_VALIDATION
         input_files.append(ann_path)
@@ -464,13 +479,11 @@ def _cmd_sweep(args: argparse.Namespace, argv: Sequence[str]) -> int:
             point = point_from_report(cid, report, annotations.get(cid))
             points.append(point)
             series.append(_series_label(space, config.transforms))
-            payload = {
-                "config_id": cid,
-                "annotations": dict(sorted(point.annotations.items())),
-                "report": report_to_dict(report),
-            }
-            # Without indent, json runs its C encoder.
-            text = json.dumps(payload, separators=(",", ":")) + "\n"
+            head = json.dumps(
+                {"config_id": cid, "annotations": dict(sorted(point.annotations.items()))},
+                separators=(",", ":"),
+            )
+            text = f'{head[:-1]},"report":{report_to_json(report, indent=None)}}}\n'
             (staging / _safe_filename(cid)).write_text(text, encoding="utf-8")
         if staging is None:
             _emit_error("infeasible", "every combination in the space was rejected")

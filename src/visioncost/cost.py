@@ -30,6 +30,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Any, NamedTuple
 
 from .arch import (
@@ -483,7 +484,7 @@ def _shape_text(report: CostReport) -> list[str]:
     return [text[c.out_shape.dims] for c in report.per_layer]
 
 
-def report_to_dict(report: CostReport) -> dict[str, Any]:
+def _report_header(report: CostReport) -> dict[str, Any]:
     return {
         "spec_name": report.spec_name,
         "convention": report.convention.value,
@@ -494,24 +495,54 @@ def report_to_dict(report: CostReport) -> dict[str, Any]:
         "peak_activation_bytes": report.peak_activation_bytes,
         "model_bytes": report.model_bytes,
         "total_memory_bytes": report.total_memory_bytes,
-        "per_layer": [
-            {
-                "layer_index": i,
-                "name": name,
-                "out_shape": shape,
-                "flops": flops,
-                "activation_bytes": act,
-                "param_count": params,
-            }
-            for (i, name, _, flops, act, params), shape in zip(
-                report.per_layer, _shape_text(report)
-            )
-        ],
     }
 
 
+def report_to_dict(report: CostReport) -> dict[str, Any]:
+    out = _report_header(report)
+    out["per_layer"] = [
+        {
+            "layer_index": i,
+            "name": name,
+            "out_shape": shape,
+            "flops": flops,
+            "activation_bytes": act,
+            "param_count": params,
+        }
+        for (i, name, _, flops, act, params), shape in zip(
+            report.per_layer, _shape_text(report)
+        )
+    ]
+    return out
+
+
+# One per_layer row of report_to_dict, as compact JSON.
+_ROW_JSON = (
+    '{"layer_index":%d,"name":%s,"out_shape":%s,'
+    '"flops":%d,"activation_bytes":%d,"param_count":%d}'
+)
+
+
 def report_to_json(report: CostReport, indent: int | None = 2) -> str:
-    return json.dumps(report_to_dict(report), indent=indent)
+    """``report_to_dict`` as JSON text, indented by ``indent`` spaces.
+
+    With ``indent=None`` the text is compact, equal to ``json.dumps`` of the
+    dict with ``separators=(",", ":")``: the header goes through
+    ``json.dumps`` and each layer row through one ``%`` template (every
+    count an int, strings escaped by the encoder's own ASCII escaper), so
+    no per-row dict is built.
+    """
+    if indent is not None:
+        return json.dumps(report_to_dict(report), indent=indent)
+    enc = encode_basestring_ascii
+    rows = ",".join([
+        _ROW_JSON % (i, enc(name), enc(shape), flops, act, params)
+        for (i, name, _, flops, act, params), shape in zip(
+            report.per_layer, _shape_text(report)
+        )
+    ])
+    header = json.dumps(_report_header(report), separators=(",", ":"))
+    return f'{header[:-1]},"per_layer":[{rows}]}}'
 
 
 CSV_HEADER = ("layer_index", "name", "out_shape", "flops", "activation_bytes", "param_count")

@@ -2,7 +2,8 @@
 
 A ``SweepSpace`` is a base configuration plus value axes, one per transform
 kind; enumeration walks the cross product in deterministic order (first
-axis slowest), costing each combination once and skipping -- and
+axis slowest), applying each transform once per prefix of the axes,
+costing each combination once and skipping -- and
 recording -- those the transforms or the cost walk reject. Evaluated
 configurations become ``FrontierPoint`` rows that flow into the Pareto
 filter, the FLOPs budget matcher, and annotation-driven selection of the
@@ -12,6 +13,7 @@ cheapest acceptable configuration.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import math
 from dataclasses import dataclass, field
@@ -27,6 +29,7 @@ from .scaling import (
     ScalingError,
     ScalingTransform,
     TransformKind,
+    apply_transform,
     make_config,
 )
 
@@ -110,34 +113,53 @@ def evaluate_space(
     """Build and cost each combination of the axes, in order (first axis
     slowest), yielding every config with its one cost report.
 
+    The product is walked depth first: axis k's transform is applied once to
+    the spec and eval that each prefix of the first k - 1 axes produced, so
+    a transform runs once per prefix, not once per combination, and only
+    the leaves are costed. The configs equal ``make_config`` of each
+    combination's chain.
+
     A combination that a transform or the cost walk rejects (a CNN
     resolution too small for a window, or one a flattening classifier does
-    not fit) is appended to ``skipped`` and logged once.
+    not fit) is appended to ``skipped`` and logged once; a transform that
+    rejects a prefix skips every combination under it, in product order.
     SpaceTooLarge is raised here, before anything is costed.
     """
     if space.size > space.cap:
         raise SpaceTooLarge(
             f"sweep space has {space.size} combinations, cap is {space.cap}"
         )
+    axes = space.axes
 
-    def walk() -> Iterator[tuple[ScaledConfig, CostReport]]:
-        for combo in product(*(axis.values for axis in space.axes)):
-            chain = tuple(
-                ScalingTransform(axis.kind, value)
-                for axis, value in zip(space.axes, combo)
-            )
+    def skip(combo: tuple, exc: Exception) -> None:
+        skipped.append(SkippedConfig(values=combo, reason=str(exc)))
+        logger.warning("skipping %s: %s", combo, exc)
+
+    def walk(
+        level: int, spec: ArchSpec, cfg: EvalConfig, combo: tuple, chain: tuple
+    ) -> Iterator[tuple[ScaledConfig, CostReport]]:
+        if level == len(axes):
             try:
-                config = make_config(
-                    space.base_name, space.base_spec, space.base_eval, chain
-                )
-                report = cost_report(config.spec, config.eval)
-            except (ScalingError, InfeasibleResolution, ShapeMismatch) as exc:
-                skipped.append(SkippedConfig(values=combo, reason=str(exc)))
-                logger.warning("skipping %s: %s", combo, exc)
+                report = cost_report(spec, cfg)
+            except (InfeasibleResolution, ShapeMismatch) as exc:
+                skip(combo, exc)
+                return
+            yield ScaledConfig(space.base_name, chain, spec, cfg), report
+            return
+        kind = axes[level].kind
+        for value in axes[level].values:
+            transform = ScalingTransform(kind, value)
+            try:
+                next_spec, next_cfg = apply_transform(spec, cfg, transform)
+            except ScalingError as exc:
+                for rest in product(*(axis.values for axis in axes[level + 1 :])):
+                    skip(combo + (value,) + rest, exc)
                 continue
-            yield config, report
+            yield from walk(
+                level + 1, next_spec, next_cfg, combo + (value,), chain + (transform,)
+            )
 
-    return walk()
+    return walk(0, space.base_spec, space.base_eval, (), ())
 
 
 def enumerate_space(space: SweepSpace) -> EnumeratedSweep:
@@ -306,7 +328,8 @@ class AnnotationTable:
         if not text.strip():
             logger.warning("annotation file %s is empty", path)
             return cls()
-        reader = csv.reader(text.splitlines())
+        # Not splitlines(): a quoted line break stays inside its cell.
+        reader = csv.reader(io.StringIO(text))
         header = next(reader)
         if tuple(h.strip() for h in header) != ANNOTATION_HEADER:
             raise ValueError(
@@ -315,12 +338,21 @@ class AnnotationTable:
             )
         table = cls()
         first_line: dict[tuple[str, str], int] = {}
-        for lineno, row in enumerate(reader, start=2):
+        last = reader.line_num
+        for row in reader:
+            lineno, last = last + 1, reader.line_num  # the row's first line
             if not row:
                 continue
             if len(row) != 3:
                 raise ValueError(f"line {lineno}: expected 3 columns, got {len(row)}")
             cid, metric, raw = row[0].strip(), row[1].strip(), row[2].strip()
+            # The metric heads a frontier.csv column: one header line, and no
+            # second column of a cost's name.
+            if not metric or metric in FRONTIER_COLUMNS or "\n" in metric:
+                raise ValueError(
+                    f"line {lineno}: metric {metric!r} is empty, a cost column "
+                    "or holds a line break"
+                )
             key = (cid, metric)
             if key in first_line:
                 raise ValueError(

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: exit codes, stdout payloads, written files."""
 
 import contextlib
+import csv
 import io
 import json
 import logging
@@ -337,6 +338,61 @@ class TestSweep:
         rows = (out_dir / "frontier.csv").read_text().splitlines()[1:]
         assert [r.split(",")[0] for r in rows] == ["resnet50;width=1", "resnet50;width=0.5"]
 
+    @pytest.mark.parametrize("name", ["nope.json", "."])
+    def test_unreadable_spec_file_is_named(self, run, tmp_path, name):
+        space = tmp_path / "s.json"
+        space.write_text(json.dumps({"spec_file": name, "axes": [{"kind": "N", "values": [4]}]}))
+        code, out, err = run("sweep", space, "--out", tmp_path / "out")
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "io"
+        assert payload["message"].startswith(f"cannot read {tmp_path / name}: ")
+        assert "s.json" not in payload["message"]
+
+    def test_spec_file_parse_error_names_the_spec(self, run, tmp_path):
+        (tmp_path / "net.json").write_text("{")
+        space = tmp_path / "s.json"
+        space.write_text(
+            json.dumps({"spec_file": "net.json", "axes": [{"kind": "N", "values": [4]}]})
+        )
+        code, _, err = run("sweep", space, "--out", tmp_path / "out")
+        assert code == 2
+        payload = json.loads(err)
+        assert payload["error"] == "space"
+        assert payload["message"].startswith(f"spec {tmp_path / 'net.json'}: Expecting")
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [(k, v) for k in ("spec_file", "base", "dtype", "kind") for v in (5, ["vit_small"], None)],
+    )
+    def test_wrong_string_field_type(self, run, tmp_path, key, value):
+        space = {"axes": [{"kind": "N", "values": [9]}]}
+        if key == "dtype":
+            space.update(base="vit_small", eval={"dtype": value})
+        elif key == "kind":
+            space.update(base="vit_small", axes=[{"kind": value, "values": [9]}])
+        else:
+            space[key] = value
+        (tmp_path / "s.json").write_text(json.dumps(space))
+        code, _, err = run("sweep", tmp_path / "s.json", "--out", tmp_path / "out")
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "space"
+        assert payload["message"].endswith(f"{key} must be a string, got {json.dumps(value)}")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_cap_must_be_positive(self, run, tmp_path, cap):
+        space = write_space(tmp_path / "s.json", "vit_small", ("depth", [6]), cap=cap)
+        code, _, err = run("sweep", space, "--out", tmp_path / "out")
+        assert code == 2
+        payload = json.loads(err)
+        assert payload["error"] == "space"
+        assert payload["message"] == f"space file: cap must be >= 1, got {cap}"
+
     def test_unknown_preset_in_space(self, run, tmp_path):
         space = tmp_path / "space.json"
         space.write_text(json.dumps({"base": "nope", "axes": [{"kind": "N", "values": [9]}]}))
@@ -592,6 +648,170 @@ class TestSweep:
         assert payload["error"] == "annotations"
         assert "line 2" in payload["message"]
         assert not (tmp_path / "out").exists()
+
+
+    @pytest.mark.parametrize(
+        "metric", ["flops", "config_id", "total_memory_bytes", "", " ", '"a\nb"'],
+        ids=["flops", "config_id", "total_memory_bytes", "empty", "blank", "quoted-newline"],
+    )
+    def test_bad_annotation_metric_rejected(self, run, tmp_path, space_file, metric):
+        ann = tmp_path / "ann.csv"
+        ann.write_text(
+            f"config_id,metric,value\nvit_small;N=9;patch=8,top1,70\n"
+            f"vit_small;N=9;patch=16,{metric},1\n"
+        )
+        code, out, err = run("sweep", space_file, "--out", tmp_path / "out", "--annotations", ann)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "annotations"
+        assert payload["message"].startswith("line 3: metric ")
+        assert not (tmp_path / "out").exists()
+
+
+def _all_paths(node, path=()):
+    """Key paths of every value in a JSON tree, containers included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _all_paths(value, path + (key,))
+
+
+_DELETE = object()
+
+_SPACE_MUTANTS = st.one_of(
+    st.integers(-2, 40),
+    # values valid somewhere in a space file
+    st.sampled_from(
+        [1, 2, 8, 0.5, 1.0, "N", "width", "gw", "batch", "depth", "dtype", "fp16", "int8",
+         "full_count", "closed_form", "vit_base", "resnet50", "net.json"]
+    ),
+    _MUTANTS,
+    st.sampled_from([_DELETE, "hybrid", 1e300, {"kind": "N", "values": [4]}]),
+)
+
+_SPACES = {
+    "vit_small": {
+        "base": "vit_small",
+        "eval": {"flop_convention": "full_count", "input_resolution": 9, "dtype": "fp16"},
+        "axes": [{"kind": "N", "values": [6, 9]}, {"kind": "depth", "values": [1, 2]}],
+        "cap": 100,
+    },
+    "resnet50": {
+        "base": "resnet50",
+        "eval": {"batch_size": 2, "input_resolution": 32},
+        "axes": [{"kind": "width", "values": [0.5, 1.0]}, {"kind": "N", "values": [16, 32]}],
+    },
+    "spec_file": {
+        "spec_file": "net.json",
+        "axes": [{"kind": "gw", "values": [8, 16]}, {"kind": "N", "values": [16, 32]},
+                 {"kind": "batch", "values": [1, 2]}],
+    },
+}
+
+
+def _sweep_quietly(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_one_error_line(code, out, err):
+    # 3: every combination of a well-formed space rejected
+    assert code in (2, 3)
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert "error" in json.loads(lines[0])
+
+
+class TestSpaceAndAnnotationFuzz:
+    """A valid space or annotation file with a few fields replaced, removed
+    or added is swept, or refused with one JSON line: never a traceback."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(base=st.sampled_from(sorted(_SPACES)), data=st.data())
+    def test_mutated_space(self, tmp_path_factory, base, data):
+        space = json.loads(json.dumps(_SPACES[base]))
+        for _ in range(data.draw(st.integers(1, 3))):
+            paths = sorted(_all_paths(space), key=lambda p: (-len(p), repr(p)))  # leaves first
+            if not paths:
+                break
+            path = data.draw(st.sampled_from(paths))
+            target = space
+            for key in path[:-1]:
+                target = target[key]
+            mutant = data.draw(_SPACE_MUTANTS)
+            if mutant is _DELETE:
+                del target[path[-1]]
+            else:  # a copy: the strategy's own containers stay as drawn
+                target[path[-1]] = json.loads(json.dumps(mutant))
+        tmp = tmp_path_factory.mktemp("space")
+        save_spec(PRESETS["seg_backbone_gw16"].build(), tmp / "net.json")
+        (tmp / "s.json").write_text(json.dumps(space))
+        code, out, err = _sweep_quietly("sweep", tmp / "s.json", "--out", tmp / "out")
+        if code == 0:
+            assert out.startswith("wrote ")
+            assert (tmp / "out" / "frontier.csv").exists()
+        elif code == 1:  # a spec_file string naming no readable file
+            assert out == "" and len(err.splitlines()) == 1
+            assert json.loads(err)["message"].startswith(
+                f"cannot read {tmp / space['spec_file']}: "
+            )
+        else:
+            _assert_one_error_line(code, out, err)
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(), quoted=st.booleans())
+    def test_mutated_annotations(self, tmp_path_factory, data, quoted):
+        rows = [
+            ["config_id", "metric", "value"],
+            ["vit_small;N=9;patch=8", "top1", "70.5"],
+            ["vit_small;N=11;patch=16", "top1", "72.2"],
+            ["vit_small;N=9;patch=16", "top5", "90"],
+        ]
+        cells = st.one_of(
+            st.sampled_from(["", " ", "flops", "config_id", "top1", "top5", "nan", "-inf",
+                             "1e400", "1e-400", "7", "a\nb", "x,y", '"', "model_bytes",
+                             "vit_small;N=9;patch=8"]),
+            st.text(alphabet='a1.,"\n e-\r', max_size=6),
+        )
+        for _ in range(data.draw(st.integers(1, 3))):
+            i = data.draw(st.integers(0, len(rows) - 1))
+            op = data.draw(st.sampled_from(["set", "drop_cell", "add_cell", "dup_row", "drop_row"]))
+            if op == "set" and rows[i]:
+                rows[i][data.draw(st.integers(0, len(rows[i]) - 1))] = data.draw(cells)
+            elif op == "drop_cell" and rows[i]:
+                rows[i].pop()
+            elif op == "add_cell":
+                rows[i].append(data.draw(cells))
+            elif op == "dup_row":
+                rows.insert(i, list(rows[i]))
+            elif op == "drop_row" and len(rows) > 1:
+                rows.pop(i)
+        tmp = tmp_path_factory.mktemp("ann")
+        buf = io.StringIO()
+        if quoted:
+            csv.writer(buf, lineterminator="\n").writerows(rows)
+        else:
+            buf.write("".join(",".join(row) + "\n" for row in rows))
+        (tmp / "ann.csv").write_text(buf.getvalue())
+        space = write_space(tmp / "s.json", "vit_small", ("N", [9, 11]), ("patch", [8, 16]))
+        out_dir = tmp / "out"
+        code, out, err = _sweep_quietly(
+            "sweep", space, "--out", out_dir, "--annotations", tmp / "ann.csv"
+        )
+        if code == 0:
+            header = next(csv.reader(io.StringIO((out_dir / "frontier.csv").read_text())))
+            assert len(set(header)) == len(header) and all(header)
+            points, metrics = visioncost.search.read_frontier_csv(out_dir / "frontier.csv")
+            assert header == list(visioncost.search.FRONTIER_COLUMNS) + metrics
+            assert len(points) == 4
+        else:
+            _assert_one_error_line(code, out, err)
 
 
 class TestMatch:

@@ -4,19 +4,23 @@ Matching and selection are checked against exhaustive scans written
 independently of the bisection/filter code under test.
 """
 
+import itertools
+import logging
 import random
 from fractions import Fraction
 
 import pytest
 
-from visioncost.arch import CnnSpec, Conv2d, EvalConfig, Linear
-from visioncost.cost import cost_report
-from visioncost.presets import resnet50, vit_small
-from visioncost.scaling import ScalingTransform, TransformKind, make_config
+import visioncost.scaling
+from visioncost.arch import CnnSpec, Conv2d, EvalConfig, GlobalPool, Linear
+from visioncost.cost import InfeasibleResolution, ShapeMismatch, cost_report
+from visioncost.presets import grouped_seg_backbone, resnet50, vit_small
+from visioncost.scaling import ScalingError, ScalingTransform, TransformKind, make_config
 from visioncost.search import (
     AnnotationTable,
     FrontierPoint,
     NoFeasibleCandidate,
+    SkippedConfig,
     SpaceTooLarge,
     SweepAxis,
     SweepSpace,
@@ -97,6 +101,73 @@ class TestEnumerate:
         enum = enumerate_space(space)
         assert [c.config_id for c in enum.configs] == ["flat;N=64"]
         assert "does not match flattened input size 1800" in enum.skipped[0].reason
+
+    @pytest.mark.parametrize(
+        "space",
+        [
+            # group width 3 makes the grouped conv's 18 outputs indivisible by
+            # its 4 groups: a failing first-axis prefix; N=4 is infeasible last
+            SweepSpace(
+                "grp",
+                CnnSpec("grp", 3, (
+                    Conv2d(3, 8, kernel=3), Conv2d(8, 12, kernel=3, groups=4),
+                    GlobalPool(), Linear(12, 10),
+                )),
+                EvalConfig(),
+                (SweepAxis(K.GROUP_WIDTH, (2, 3, 4)), SweepAxis(K.BATCH, (1, 2)),
+                 SweepAxis(K.RESOLUTION, (4, 5, 16))),
+            ),
+            # depth 0 fails in the middle axis
+            vit_space([SweepAxis(K.RESOLUTION, (6, 9)), SweepAxis(K.DEPTH, (0, 2)),
+                       SweepAxis(K.DTYPE, ("fp32", "int8"))]),
+            SweepSpace(
+                "seg", grouped_seg_backbone(), EvalConfig(input_resolution=64),
+                (SweepAxis(K.GROUP_WIDTH, (0, 8, 16)), SweepAxis(K.RESOLUTION, (32, 48))),
+            ),
+            SweepSpace(
+                "r", resnet50(), EvalConfig(),
+                (SweepAxis(K.WIDTH, (0.5, 1.0, -1.0)), SweepAxis(K.RESOLUTION, (32, 64)),
+                 SweepAxis(K.BATCH, (1, 0))),
+            ),
+            vit_space([]),
+        ],
+        ids=["grouped", "vit-depth", "seg", "resnet", "no-axes"],
+    )
+    def test_evaluate_equals_make_config_per_combination(self, space, caplog):
+        want, want_skipped = [], []
+        for combo in itertools.product(*(axis.values for axis in space.axes)):
+            chain = [ScalingTransform(a.kind, v) for a, v in zip(space.axes, combo)]
+            try:
+                config = make_config(space.base_name, space.base_spec, space.base_eval, chain)
+                want.append((config, cost_report(config.spec, config.eval)))
+            except (ScalingError, InfeasibleResolution, ShapeMismatch) as exc:
+                want_skipped.append(SkippedConfig(combo, str(exc)))
+        skipped = []
+        with caplog.at_level(logging.WARNING):
+            got = list(evaluate_space(space, skipped))
+        assert got == want
+        assert [c.config_id for c, _ in got] == [c.config_id for c, _ in want]
+        assert skipped == want_skipped
+        assert [r.getMessage() for r in caplog.records] == [
+            f"skipping {s.values}: {s.reason}" for s in want_skipped
+        ]
+
+    def test_each_transform_runs_once_per_prefix(self, monkeypatch):
+        calls = []
+        real = visioncost.scaling.width_scale
+
+        def counting(spec, ratio, *args):
+            calls.append(ratio)
+            return real(spec, ratio, *args)
+
+        monkeypatch.setattr(visioncost.scaling, "width_scale", counting)
+        space = SweepSpace(
+            "r", resnet50(), EvalConfig(),
+            (SweepAxis(K.WIDTH, (0.5, 0.75, 1.0)), SweepAxis(K.RESOLUTION, (32, 64)),
+             SweepAxis(K.BATCH, (1, 2))),
+        )
+        assert len(list(evaluate_space(space, []))) == 12
+        assert calls == [0.5, 0.75, 1.0]
 
     def test_size_property(self):
         space = vit_space(
