@@ -565,6 +565,9 @@ def _cmd_match(args: argparse.Namespace) -> int:
             attainable=list(exc.attainable),
         )
         return EXIT_INFEASIBLE
+    except ShapeMismatch as exc:
+        _emit_error("shape_mismatch", str(exc), layer_index=exc.layer_index)
+        return EXIT_VALIDATION
     except (ScalingError, ValueError) as exc:
         _emit_error("match", str(exc))
         return EXIT_VALIDATION
@@ -605,7 +608,7 @@ def _cmd_best(args: argparse.Namespace) -> int:
     except OSError as exc:
         _emit_error("io", f"cannot read {frontier}: {exc}")
         return EXIT_IO
-    except ValueError as exc:
+    except (ValueError, csv.Error) as exc:
         _emit_error("frontier", str(exc), path=str(frontier))
         return EXIT_VALIDATION
     if args.metric not in metrics:

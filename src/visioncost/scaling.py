@@ -2,11 +2,14 @@
 
 Structural transforms (width, group width, hidden size, MLP size, depth,
 patch size) rewrite the spec; evaluation transforms (resolution, batch,
-dtype) rewrite the EvalConfig and leave the spec untouched. A transform
-chain applied to a named base produces a ``ScaledConfig`` whose
-``config_id`` is a canonical compact string such as
-``"vit_small;width=0.5;dtype=int8;N=12"``; parsing that string against a
-base registry reproduces the same spec.
+dtype) rewrite the EvalConfig and leave the spec untouched. A transform is a
+knob and its value; the policies are fixed: width rounds each channel
+count half up to a multiple of 8, a hidden size keeps the head count, and
+a patch size keeps the token grid. A transform chain applied to a named
+base produces a ``ScaledConfig`` whose ``config_id`` is a canonical
+compact string such as ``"vit_small;hidden=192;N=9;dtype=int8"``, one
+``key=value`` token per transform; parsing that string against a base
+registry reproduces the same spec.
 """
 
 from __future__ import annotations
@@ -33,12 +36,7 @@ from .arch import (
 __all__ = [
     "ScalingError",
     "RoundingBreaksGroups",
-    "HeadDivisibility",
-    "IndivisibleImage",
     "InvalidGroupWidth",
-    "Rounding",
-    "HeadPolicy",
-    "PatchKeep",
     "TransformKind",
     "ScalingTransform",
     "ScaledConfig",
@@ -67,19 +65,11 @@ class RoundingBreaksGroups(ScalingError):
     def __init__(self, layer_index: int, channels: int, groups: int):
         super().__init__(
             f"layer {layer_index}: rounded channel count {channels} is not divisible "
-            f"by groups {groups}; retry with rounding to a multiple of {groups}"
+            f"by groups {groups}; pick a width that keeps it a multiple of {groups}"
         )
         self.layer_index = layer_index
         self.channels = channels
         self.groups = groups
-
-
-class HeadDivisibility(ScalingError):
-    pass
-
-
-class IndivisibleImage(ScalingError):
-    pass
 
 
 class InvalidGroupWidth(ScalingError):
@@ -90,50 +80,7 @@ def _round_half_up(x: float) -> int:
     return math.floor(x + 0.5)
 
 
-@dataclass(frozen=True, slots=True)
-class Rounding:
-    """Channel rounding policy: nearest integer, floor, or nearest multiple."""
-
-    mode: str  # "nearest" | "floor" | "multiple"
-    multiple: int = 1
-
-    @staticmethod
-    def nearest() -> "Rounding":
-        return Rounding("nearest")
-
-    @staticmethod
-    def floor() -> "Rounding":
-        return Rounding("floor")
-
-    @staticmethod
-    def multiple_of(m: int) -> "Rounding":
-        if m < 1:
-            raise ValueError("multiple must be >= 1")
-        return Rounding("multiple", m)
-
-    def apply(self, x: float) -> int:
-        if self.mode == "nearest":
-            return max(1, _round_half_up(x))
-        if self.mode == "floor":
-            return max(1, math.floor(x))
-        if self.mode == "multiple":
-            return max(self.multiple, self.multiple * _round_half_up(x / self.multiple))
-        raise ValueError(f"unknown rounding mode {self.mode!r}")
-
-
-DEFAULT_ROUNDING = Rounding.multiple_of(8)
-
-
-class HeadPolicy(str, Enum):
-    # Keep the head count; nudge the hidden size to the nearest multiple of it.
-    ADJUST_HIDDEN = "adjust_hidden"
-    # Scale the head count with the hidden size; error if they stop dividing.
-    SCALE_HEADS = "scale_heads"
-
-
-class PatchKeep(str, Enum):
-    TOKENS = "tokens"  # token grid fixed, implied image grows/shrinks
-    IMAGE = "image"  # image fixed, token grid recomputed
+WIDTH_MULTIPLE = 8
 
 
 class TransformKind(str, Enum):
@@ -146,19 +93,14 @@ class TransformKind(str, Enum):
     PATCH = "patch"
     BATCH = "batch"
     DTYPE = "dtype"
-    HYBRID = "hybrid"
 
 
 @dataclass(frozen=True)
 class ScalingTransform:
-    """One scaling step. ``parameter`` is the knob value; the optional fields
-    only apply to the kinds that use them."""
+    """One scaling step: a knob and its value."""
 
     kind: TransformKind
     parameter: object
-    rounding: Rounding = DEFAULT_ROUNDING
-    keep: PatchKeep = PatchKeep.TOKENS
-    head_policy: HeadPolicy = HeadPolicy.ADJUST_HIDDEN
 
 
 # --------------------------------------------------------------------------
@@ -194,10 +136,9 @@ def _rescale_channels(spec: CnnSpec, scale: Callable[[int, int], int]) -> CnnSpe
     return replace(spec, layers=tuple(new_layers))
 
 
-def width_scale(
-    spec: CnnSpec, ratio: float, rounding: Rounding = DEFAULT_ROUNDING
-) -> CnnSpec:
-    """Scale every learned channel count by ``ratio`` (image input stays).
+def width_scale(spec: CnnSpec, ratio: float) -> CnnSpec:
+    """Scale every learned channel count by ``ratio`` (image input stays),
+    rounding half up to a multiple of WIDTH_MULTIPLE, never below it.
 
     Group counts are preserved; if rounding makes a grouped conv's channels
     indivisible by its groups, RoundingBreaksGroups is raised.
@@ -206,7 +147,10 @@ def width_scale(
         raise ScalingError(f"width ratio must be > 0, got {ratio}")
     if ratio == 1.0:
         return spec
-    return _rescale_channels(spec, lambda c, _: rounding.apply(c * ratio))
+    m = WIDTH_MULTIPLE
+    return _rescale_channels(
+        spec, lambda c, _: max(m, m * _round_half_up(c * ratio / m))
+    )
 
 
 def group_width_scale(spec: CnnSpec, group_width: int) -> CnnSpec:
@@ -248,21 +192,12 @@ def group_width_scale(spec: CnnSpec, group_width: int) -> CnnSpec:
         ) from None
 
 
-def hidden_scale(
-    spec: ViTSpec, new_hidden: int, head_policy: HeadPolicy = HeadPolicy.ADJUST_HIDDEN
-) -> ViTSpec:
+def hidden_scale(spec: ViTSpec, new_hidden: int) -> ViTSpec:
+    """Keep the head count; round the hidden size half up to a multiple of it."""
     if new_hidden < 1:
         raise ScalingError(f"hidden size must be >= 1, got {new_hidden}")
     k = spec.num_heads
-    if head_policy is HeadPolicy.ADJUST_HIDDEN:
-        adjusted = max(k, k * _round_half_up(new_hidden / k))
-        return replace(spec, hidden_dim=adjusted)
-    new_heads = max(1, _round_half_up(k * new_hidden / spec.hidden_dim))
-    if new_hidden % new_heads != 0:
-        raise HeadDivisibility(
-            f"hidden size {new_hidden} not divisible by scaled head count {new_heads}"
-        )
-    return replace(spec, hidden_dim=new_hidden, num_heads=new_heads)
+    return replace(spec, hidden_dim=max(k, k * _round_half_up(new_hidden / k)))
 
 
 def mlp_scale(spec: ViTSpec, new_mlp: int) -> ViTSpec:
@@ -277,19 +212,11 @@ def depth_scale(spec: ViTSpec, new_depth: int) -> ViTSpec:
     return replace(spec, depth=new_depth)
 
 
-def patch_scale(
-    spec: ViTSpec, new_patch: int, keep: PatchKeep = PatchKeep.TOKENS
-) -> ViTSpec:
+def patch_scale(spec: ViTSpec, new_patch: int) -> ViTSpec:
+    """Keep the token grid; the implied image side grows or shrinks."""
     if new_patch < 1:
         raise ScalingError(f"patch size must be >= 1, got {new_patch}")
-    if keep is PatchKeep.TOKENS:
-        return replace(spec, patch_size=new_patch)
-    image = spec.image_side
-    if image % new_patch != 0:
-        raise IndivisibleImage(
-            f"image side {image} is not divisible by patch size {new_patch}"
-        )
-    return replace(spec, patch_size=new_patch, tokens_per_side=image // new_patch)
+    return replace(spec, patch_size=new_patch)
 
 
 # --------------------------------------------------------------------------
@@ -322,14 +249,10 @@ def apply_transform(
     spec: ArchSpec, cfg: EvalConfig, t: ScalingTransform
 ) -> tuple[ArchSpec, EvalConfig]:
     kind = t.kind
-    if kind is TransformKind.HYBRID:
-        for sub in t.parameter:  # ordered member list
-            spec, cfg = apply_transform(spec, cfg, sub)
-        return spec, cfg
     if kind is TransformKind.WIDTH:
         if not isinstance(spec, CnnSpec):
             raise ScalingError("width applies to conv specs")
-        return width_scale(spec, float(t.parameter), t.rounding), cfg
+        return width_scale(spec, float(t.parameter)), cfg
     if kind is TransformKind.GROUP_WIDTH:
         if not isinstance(spec, CnnSpec):
             raise ScalingError("group width applies to conv specs")
@@ -337,7 +260,7 @@ def apply_transform(
     if kind is TransformKind.HIDDEN:
         if not isinstance(spec, ViTSpec):
             raise ScalingError("hidden size applies to transformer specs")
-        return hidden_scale(spec, int(t.parameter), t.head_policy), cfg
+        return hidden_scale(spec, int(t.parameter)), cfg
     if kind is TransformKind.MLP:
         if not isinstance(spec, ViTSpec):
             raise ScalingError("mlp size applies to transformer specs")
@@ -349,7 +272,7 @@ def apply_transform(
     if kind is TransformKind.PATCH:
         if not isinstance(spec, ViTSpec):
             raise ScalingError("patch size applies to transformer specs")
-        return patch_scale(spec, int(t.parameter), t.keep), cfg
+        return patch_scale(spec, int(t.parameter)), cfg
     if kind is TransformKind.RESOLUTION:
         return spec, resolution_scale(cfg, int(t.parameter))
     if kind is TransformKind.BATCH:
@@ -405,41 +328,20 @@ def _format_number(v: object) -> str:
     return repr(f)
 
 
-def _encode_one(t: ScalingTransform) -> list[str]:
-    if t.kind is TransformKind.HYBRID:
-        out: list[str] = []
-        for sub in t.parameter:
-            out.extend(_encode_one(sub))
-        return out
+def _encode_one(t: ScalingTransform) -> str:
     if t.kind is TransformKind.DTYPE:
         param = t.parameter
         name = param.name if isinstance(param, DTypeDesc) else str(param)
-        return [f"dtype={name}"]
-    value = _format_number(t.parameter)
-    suffix = ""
-    if t.kind is TransformKind.PATCH and t.keep is PatchKeep.IMAGE:
-        suffix = ":image"
-    if t.kind is TransformKind.HIDDEN and t.head_policy is HeadPolicy.SCALE_HEADS:
-        suffix = ":scale_heads"
-    if t.kind in (TransformKind.WIDTH, TransformKind.GROUP_WIDTH):
-        r = t.rounding
-        if t.kind is TransformKind.WIDTH and r != DEFAULT_ROUNDING:
-            if r.mode == "multiple":
-                suffix = f":m{r.multiple}"
-            else:
-                suffix = f":{r.mode}"
-    return [f"{t.kind.value}={value}{suffix}"]
+        return f"dtype={name}"
+    return f"{t.kind.value}={_format_number(t.parameter)}"
 
 
 def config_id_of(base_name: str, chain: Iterable[ScalingTransform]) -> str:
-    parts = [base_name]
-    for t in chain:
-        parts.extend(_encode_one(t))
-    return ";".join(parts)
+    return ";".join([base_name, *map(_encode_one, chain)])
 
 
 # Sweep axis and config id keys.
-KIND_BY_KEY = {k.value: k for k in TransformKind if k is not TransformKind.HYBRID}
+KIND_BY_KEY = {k.value: k for k in TransformKind}
 
 
 def _parse_one(token: str) -> ScalingTransform:
@@ -449,30 +351,13 @@ def _parse_one(token: str) -> ScalingTransform:
     if key not in KIND_BY_KEY:
         raise ScalingError(f"unknown transform key {key!r} in {token!r}")
     kind = KIND_BY_KEY[key]
-    value, _, suffix = raw.partition(":")
     if kind is TransformKind.DTYPE:
         return ScalingTransform(kind, dtype_from_name(raw))
-    keep = PatchKeep.TOKENS
-    head_policy = HeadPolicy.ADJUST_HIDDEN
-    rounding = DEFAULT_ROUNDING
-    if suffix:
-        if kind is TransformKind.PATCH and suffix == "image":
-            keep = PatchKeep.IMAGE
-        elif kind is TransformKind.HIDDEN and suffix == "scale_heads":
-            head_policy = HeadPolicy.SCALE_HEADS
-        elif kind is TransformKind.WIDTH and suffix in ("nearest", "floor"):
-            rounding = Rounding(suffix)
-        elif kind is TransformKind.WIDTH and suffix.startswith("m"):
-            rounding = Rounding.multiple_of(int(suffix[1:]))
-        else:
-            raise ScalingError(f"unknown option {suffix!r} in {token!r}")
-    if kind is TransformKind.WIDTH:
-        param: object = float(value)
-    else:
-        param = int(value)
-    return ScalingTransform(
-        kind, param, rounding=rounding, keep=keep, head_policy=head_policy
-    )
+    try:
+        value = float(raw) if kind is TransformKind.WIDTH else int(raw)
+    except ValueError:
+        raise ScalingError(f"bad value {raw!r} in {token!r}") from None
+    return ScalingTransform(kind, value)
 
 
 def parse_config_id(

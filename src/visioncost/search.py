@@ -403,34 +403,39 @@ FRONTIER_COLUMNS = (
 def read_frontier_csv(path: str | Path) -> tuple[list[FrontierPoint], list[str]]:
     """Re-ingest a frontier.csv; returns (points, metric column names)."""
     text = Path(path).read_text(encoding="utf-8")
-    reader = csv.reader(text.splitlines())
-    header = next(reader)
+    # Not splitlines(): a quoted line break stays inside its cell.
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, [])
     if tuple(header[: len(FRONTIER_COLUMNS)]) != FRONTIER_COLUMNS:
         raise ValueError(
-            f"frontier header must start with {','.join(FRONTIER_COLUMNS)}"
+            f"line 1: frontier header must start with {','.join(FRONTIER_COLUMNS)}"
         )
     metrics = list(header[len(FRONTIER_COLUMNS) :])
     points: list[FrontierPoint] = []
-    for lineno, row in enumerate(reader, start=2):
+    last = reader.line_num
+    for row in reader:
+        lineno, last = last + 1, reader.line_num  # the row's first line
         if not row:
             continue
-        annotations = {
-            m: float(cell)
-            for m, cell in zip(metrics, row[len(FRONTIER_COLUMNS) :])
-            if cell != ""
-        }
+        if len(row) != len(header):
+            raise ValueError(
+                f"line {lineno}: expected {len(header)} columns, got {len(row)}"
+            )
+        try:
+            annotations = {
+                m: float(cell)
+                for m, cell in zip(metrics, row[len(FRONTIER_COLUMNS) :])
+                if cell != ""
+            }
+            config_id, flops, peak, model, total = row[: len(FRONTIER_COLUMNS)]
+            point = FrontierPoint(
+                config_id, int(flops), int(peak), int(model), int(total), annotations
+            )
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
         if not all(map(math.isfinite, annotations.values())):
             raise ValueError(f"line {lineno}: metric values must be finite")
-        points.append(
-            FrontierPoint(
-                config_id=row[0],
-                flops=int(row[1]),
-                peak_activation_bytes=int(row[2]),
-                model_bytes=int(row[3]),
-                total_memory_bytes=int(row[4]),
-                annotations=annotations,
-            )
-        )
+        points.append(point)
     return points, metrics
 
 

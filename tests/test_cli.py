@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import logging
@@ -849,6 +850,22 @@ class TestMatch:
         assert payload["within_tol"] is False
         assert len(payload["bracket"]) == 2
 
+    def test_flattening_classifier_shape_mismatch(self, run, tmp_path):
+        # The classifier fits only the 64-pixel grid: 4 * 62 * 62 features.
+        spec = CnnSpec(
+            name="flat", input_channels=3, layers=(Conv2d(3, 4, kernel=3), Linear(15376, 10))
+        )
+        p = tmp_path / "flat.json"
+        save_spec(spec, p)
+        code, out, err = run(
+            "match", p, "--knob", "resolution", "--target-flops", 1_000_000,
+        )
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "shape_mismatch"
+        assert payload["layer_index"] == 1
+
 
 class TestBest:
     @pytest.fixture
@@ -896,6 +913,49 @@ class TestBest:
         payload = json.loads(err)
         assert payload["error"] == "frontier"
         assert "line 2" in payload["message"]
+
+    @pytest.mark.parametrize(
+        "keep_header, rows, fragment",
+        [
+            (True, "x,1\n", "line 2"),
+            (False, "", "line 1"),
+            (True, '"' + "a" * 200_000 + '",1,1,1,1,70\n', "field limit"),
+        ],
+        ids=["short_row", "empty_file", "huge_cell"],
+    )
+    def test_malformed_frontier_is_one_error(self, run, sweep_dir, keep_header, rows, fragment):
+        frontier = sweep_dir / "frontier.csv"
+        header = frontier.read_text().splitlines(keepends=True)[0]
+        frontier.write_text((header if keep_header else "") + rows)
+        code, out, err = run("best", sweep_dir, "--metric", "top1", "--max-drop", "1")
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "frontier"
+        assert fragment in payload["message"]
+
+    def test_config_id_with_line_break(self, run, tmp_path):
+        save_spec(dataclasses.replace(vit_small(), name="a\nb"), tmp_path / "net.json")
+        space = tmp_path / "space.json"
+        space.write_text(
+            json.dumps({"spec_file": "net.json", "axes": [{"kind": "N", "values": [4, 6]}]})
+        )
+        ann = tmp_path / "ann.csv"
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(
+            [["config_id", "metric", "value"], ["a\nb;N=4", "top1", "70"], ["a\nb;N=6", "top1", "71"]]
+        )
+        ann.write_text(buf.getvalue())
+        out_dir = tmp_path / "out"
+        assert run("sweep", space, "--out", out_dir, "--annotations", ann)[0] == 0
+        rows = list(csv.reader(io.StringIO((out_dir / "frontier.csv").read_text())))
+        ids = {row[0] for row in rows[1:]}
+        assert ids == {"a\nb;N=4", "a\nb;N=6"}
+        code, out, _ = run("best", out_dir, "--metric", "top1", "--max-drop", "2")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["baseline"] == "a\nb;N=6"
+        assert payload["config_id"] == "a\nb;N=4"
 
     def test_missing_dir(self, run, tmp_path):
         code, _, err = run("best", tmp_path / "nowhere", "--metric", "m", "--max-drop", 1)

@@ -1,4 +1,4 @@
-"""Scaling transforms, rounding, and the config-id grammar."""
+"""Scaling transforms, their fixed rounding, and the config-id grammar."""
 
 import pytest
 from hypothesis import given, settings
@@ -15,14 +15,9 @@ from visioncost.arch import (
     validate_spec,
 )
 from visioncost.cost import InfeasibleResolution, cost_report
-from visioncost.presets import grouped_seg_backbone, vit_small
+from visioncost.presets import grouped_seg_backbone, resnet50, vit_small
 from visioncost.scaling import (
-    HeadDivisibility,
-    HeadPolicy,
-    IndivisibleImage,
     InvalidGroupWidth,
-    PatchKeep,
-    Rounding,
     RoundingBreaksGroups,
     ScalingError,
     ScalingTransform,
@@ -31,6 +26,7 @@ from visioncost.scaling import (
     config_id_of,
     make_config,
     parse_config_id,
+    width_scale,
 )
 
 K = TransformKind
@@ -58,31 +54,32 @@ def conv_stack():
     )
 
 
+def width_of(channels, ratio):
+    """The rounded width of one image-fed conv with ``channels`` outputs."""
+    spec = CnnSpec(name="one", input_channels=3, layers=(Conv2d(3, channels, kernel=1),))
+    return width_scale(spec, ratio).layers[0].out_ch
+
+
 class TestRounding:
     def test_nearest_rounds_half_up(self):
-        r = Rounding.nearest()
-        assert r.apply(12.5) == 13
-        assert r.apply(12.49) == 12
-        assert r.apply(0.2) == 1  # clamped to one channel
+        # A hidden size rounds to the nearest multiple of the 6 heads.
+        def hidden(h):
+            return arch_apply(vit_small(), ScalingTransform(K.HIDDEN, h)).hidden_dim
 
-    def test_floor(self):
-        assert Rounding.floor().apply(12.9) == 12
+        assert hidden(201) == 204  # 33.5 heads' worth rounds up
+        assert hidden(200) == 198
+        assert hidden(2) == 6  # clamped to one per head
 
     def test_multiple_of_eight_default(self):
-        r = Rounding.multiple_of(8)
-        assert r.apply(60) == 64
-        assert r.apply(59.9) == 56
-        assert r.apply(3) == 8  # clamps up to one full multiple
-
-    def test_invalid_multiple(self):
-        with pytest.raises(ValueError):
-            Rounding.multiple_of(0)
+        assert width_of(100, 0.6) == 64  # 60
+        assert width_of(1000, 0.0599) == 56  # 59.9
+        assert width_of(100, 0.03) == 8  # 3 clamps up to one full multiple
 
 
 class TestWidth:
     def test_half_quarters_channel_to_channel_convs(self):
         spec = conv_stack()
-        out = arch_apply(spec, ScalingTransform(K.WIDTH, 0.5, rounding=Rounding.nearest()))
+        out = arch_apply(spec, ScalingTransform(K.WIDTH, 0.5))
         assert out.layers[0].in_ch == 3  # image-fed input is kept
         assert out.layers[0].out_ch == 32
         assert out.layers[3].in_ch == 32 and out.layers[3].out_ch == 64
@@ -111,7 +108,7 @@ class TestWidth:
             ),
         )
         with pytest.raises(RoundingBreaksGroups) as exc:
-            arch_apply(spec, ScalingTransform(K.WIDTH, 0.5, rounding=Rounding.multiple_of(8)))
+            arch_apply(spec, ScalingTransform(K.WIDTH, 0.5))
         assert exc.value.layer_index == 1
         assert "multiple" in str(exc.value)
 
@@ -185,21 +182,6 @@ class TestHidden:
         assert out.hidden_dim == 198  # nearest multiple of 6
         assert out.num_heads == 6
 
-    def test_scale_heads_keeps_head_dim_relation(self):
-        out = arch_apply(
-            vit_small(),
-            ScalingTransform(K.HIDDEN, 192, head_policy=HeadPolicy.SCALE_HEADS),
-        )
-        assert out.hidden_dim == 192
-        assert out.num_heads == 3
-
-    def test_scale_heads_divisibility_error(self):
-        with pytest.raises(HeadDivisibility):
-            arch_apply(
-                vit_small(),
-                ScalingTransform(K.HIDDEN, 194, head_policy=HeadPolicy.SCALE_HEADS),
-            )
-
     def test_hidden_on_cnn_is_an_error(self):
         with pytest.raises(ScalingError):
             arch_apply(conv_stack(), ScalingTransform(K.HIDDEN, 192))
@@ -218,19 +200,6 @@ class TestOtherKnobs:
         out = arch_apply(vit_small(), ScalingTransform(K.PATCH, 32))
         assert out.patch_size == 32
         assert out.tokens_per_side == 14  # image grows instead
-
-    def test_patch_keep_image(self):
-        out = arch_apply(
-            vit_small(), ScalingTransform(K.PATCH, 28, keep=PatchKeep.IMAGE)
-        )
-        assert out.patch_size == 28
-        assert out.tokens_per_side == 8  # 224 / 28
-
-    def test_patch_keep_image_divisibility(self):
-        with pytest.raises(IndivisibleImage):
-            arch_apply(
-                vit_small(), ScalingTransform(K.PATCH, 30, keep=PatchKeep.IMAGE)
-            )
 
 
 class TestEvalKnobs:
@@ -267,28 +236,19 @@ class TestEvalKnobs:
 
 class TestConfigId:
     def test_exact_strings(self):
-        assert config_id_of("base", [ScalingTransform(K.WIDTH, 0.5, rounding=Rounding.nearest())]) == "base;width=0.5:nearest"
         assert config_id_of("base", [ScalingTransform(K.WIDTH, 0.5)]) == "base;width=0.5"
-        assert config_id_of("base", [ScalingTransform(K.WIDTH, 0.25, rounding=Rounding.floor())]) == "base;width=0.25:floor"
-        assert config_id_of("base", [ScalingTransform(K.WIDTH, 0.5, rounding=Rounding.multiple_of(4))]) == "base;width=0.5:m4"
         assert config_id_of("b", [ScalingTransform(K.RESOLUTION, 12), ScalingTransform(K.DTYPE, "int8")]) == "b;N=12;dtype=int8"
-        assert config_id_of("b", [ScalingTransform(K.PATCH, 28, keep=PatchKeep.IMAGE)]) == "b;patch=28:image"
-        assert config_id_of("b", [ScalingTransform(K.HIDDEN, 192, head_policy=HeadPolicy.SCALE_HEADS)]) == "b;hidden=192:scale_heads"
+        assert config_id_of("b", [ScalingTransform(K.PATCH, 28)]) == "b;patch=28"
+        assert config_id_of("b", [ScalingTransform(K.HIDDEN, 192)]) == "b;hidden=192"
         assert config_id_of("b", [ScalingTransform(K.GROUP_WIDTH, 8)]) == "b;gw=8"
+        assert config_id_of("b", []) == "b"
 
     def test_integral_floats_print_as_ints(self):
         assert config_id_of("b", [ScalingTransform(K.WIDTH, 1.0)]) == "b;width=1"
 
-    def test_hybrid_flattens(self):
-        hybrid = ScalingTransform(
-            K.HYBRID,
-            (ScalingTransform(K.DEPTH, 6), ScalingTransform(K.RESOLUTION, 9)),
-        )
-        assert config_id_of("vit_small", [hybrid]) == "vit_small;depth=6;N=9"
-
     def test_parse_round_trip_with_explicit_base(self):
         bases = {"stack": conv_stack()}
-        cid = "stack;width=0.5:nearest;N=64;dtype=fp16"
+        cid = "stack;width=0.5;N=64;dtype=fp16"
         cfg = parse_config_id(cid, bases=bases)
         assert cfg.config_id == cid
         assert cfg.eval.input_resolution == 64
@@ -304,6 +264,8 @@ class TestConfigId:
             parse_config_id("no_such_base;width=0.5")
         with pytest.raises(ValueError):
             parse_config_id("vit_small;bogus=3")
+        with pytest.raises(ValueError, match="bad value"):
+            parse_config_id("resnet50;width=0.5:floor")
 
     def test_config_cost_matches_direct_application(self):
         cid = "vit_small;hidden=192;N=9;dtype=int8"
@@ -334,11 +296,34 @@ def vit_chains(draw):
     return chain
 
 
+@st.composite
+def cnn_chains(draw):
+    chain = []
+    if draw(st.booleans()):
+        chain.append(ScalingTransform(K.WIDTH, draw(st.floats(0.01, 4.0))))
+    if draw(st.booleans()):
+        chain.append(ScalingTransform(K.RESOLUTION, draw(st.integers(32, 512))))
+    if draw(st.booleans()):
+        chain.append(
+            ScalingTransform(K.DTYPE, draw(st.sampled_from(["fp64", "fp32", "fp16", "bf16", "int8"])))
+        )
+    return chain
+
+
+BASES = {"vit_small": vit_small(), "resnet50": resnet50()}
+
+
 class TestRoundTripProperty:
     @settings(max_examples=80, deadline=None)
-    @given(chain=vit_chains())
-    def test_id_parse_rebuilds_identical_config(self, chain):
-        cfg = make_config("vit_small", vit_small(), EvalConfig(), chain)
+    @given(
+        base_chain=st.one_of(
+            st.tuples(st.just("vit_small"), vit_chains()),
+            st.tuples(st.just("resnet50"), cnn_chains()),
+        )
+    )
+    def test_id_parse_rebuilds_identical_config(self, base_chain):
+        base, chain = base_chain
+        cfg = make_config(base, BASES[base], EvalConfig(), chain)
         again = parse_config_id(cfg.config_id, base_eval=EvalConfig())
         assert again.config_id == cfg.config_id
         assert again.spec == cfg.spec
