@@ -6,6 +6,10 @@ write frontier/pareto/plot files), ``match`` (FLOPs budget matching),
 (built-in specs). Exit codes: 0 success, 1 I/O failure, 2 validation or
 parse failure, 3 infeasible request, 64 usage error.
 
+A command raises a ``CliError`` where it finds a failure; an input file is
+read inside ``_reading``, which turns any failure to read or decode it into
+one. ``main`` reports each error once: one JSON line on stderr.
+
 Outputs are byte-deterministic for identical inputs (the run manifest's
 timestamp aside). ``sweep`` writes its CSV, TSV and manifest files atomically
 via temp-and-rename, and builds ``reports/`` in a staging directory that
@@ -15,6 +19,7 @@ replaces the old one whole once every config is costed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
@@ -27,7 +32,7 @@ import shutil
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 from . import __version__
 from .arch import (
@@ -48,7 +53,7 @@ from .cost import (
     report_to_json,
 )
 from .presets import PRESETS
-from .scaling import KIND_BY_KEY, ScalingError, TransformKind
+from .scaling import KIND_BY_KEY, TransformKind
 from .search import (
     FRONTIER_COLUMNS,
     AnnotationTable,
@@ -85,41 +90,45 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _emit_error(kind: str, message: str, **extra: Any) -> None:
-    payload: dict[str, Any] = {"error": kind, "message": message}
-    payload.update(extra)
-    print(json.dumps(payload), file=sys.stderr)
+class CliError(Exception):
+    """A failure that ``main`` reports as one JSON line and exit ``code``."""
+
+    def __init__(self, code: int, kind: str, message: str, **extra: Any):
+        super().__init__(message)
+        self.code = code
+        self.payload = {"error": kind, "message": message, **extra}
 
 
-def _load_spec_checked(path: str) -> tuple[ArchSpec | None, int]:
+@contextlib.contextmanager
+def _reading(kind: str, path: str | Path) -> Iterator[None]:
+    """Turn a failure to read or decode input file ``path`` into a CliError:
+    exit 1 if it cannot be read, else exit 2 with error ``kind``."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        _emit_error("io", f"cannot read {path}: {exc}")
-        return None, EXIT_IO
-    try:
-        data = json.loads(text)
+        yield
+    except OSError as exc:  # the file that failed: a space file's spec_file too
+        raise CliError(EXIT_IO, "io", f"cannot read {exc.filename or path}: {exc}") from None
     except json.JSONDecodeError as exc:
-        _emit_error("parse", str(exc), line=exc.lineno, column=exc.colno, path=path)
-        return None, EXIT_VALIDATION
-    from .arch import spec_from_dict
+        raise CliError(
+            EXIT_VALIDATION, "parse", str(exc), line=exc.lineno, column=exc.colno, path=str(path)
+        ) from None
+    except (ValueError, csv.Error, RecursionError) as exc:
+        raise CliError(EXIT_VALIDATION, kind, str(exc), path=str(path)) from None
 
-    try:
-        spec = spec_from_dict(data)
-    except ValueError as exc:
-        _emit_error("spec", str(exc), path=path)
-        return None, EXIT_VALIDATION
+
+def _load_valid_spec(path: str) -> ArchSpec:
+    with _reading("spec", path):
+        spec = load_spec(path)
     violations = validate_spec(spec)
     if violations:
-        _emit_error(
+        raise CliError(
+            EXIT_VALIDATION,
             "validation",
             f"{len(violations)} violation(s) in {path}",
             violations=[
                 {"layer_index": v.layer_index, "message": v.message} for v in violations
             ],
         )
-        return None, EXIT_VALIDATION
-    return spec, EXIT_OK
+    return spec
 
 
 def _add_eval_flags(parser: argparse.ArgumentParser) -> None:
@@ -170,18 +179,8 @@ def _eval_from_args(args: argparse.Namespace) -> EvalConfig:
 
 
 def _cmd_cost(args: argparse.Namespace) -> int:
-    spec, code = _load_spec_checked(args.spec)
-    if spec is None:
-        return code
-    cfg = _eval_from_args(args)
-    try:
-        report = cost_report(spec, cfg)
-    except InfeasibleResolution as exc:
-        _emit_error("infeasible_resolution", str(exc), layer_index=exc.layer_index)
-        return EXIT_INFEASIBLE
-    except ShapeMismatch as exc:
-        _emit_error("shape_mismatch", str(exc), layer_index=exc.layer_index)
-        return EXIT_VALIDATION
+    spec = _load_valid_spec(args.spec)
+    report = cost_report(spec, _eval_from_args(args))
     if args.format == "csv":
         sys.stdout.write(report_to_csv(report))
     else:
@@ -241,7 +240,8 @@ def _checked_str(value: Any, field: str) -> str:
 
 def _load_space(path: str) -> SweepSpace:
     """The space in JSON file ``path``. An OSError names the file it could
-    not read: the space file or the spec file it names."""
+    not read: the space file or the spec file it names; a ValueError about
+    the spec file starts ``spec <its path>:``."""
     base_dir = Path(path).parent
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(data, dict):
@@ -264,9 +264,8 @@ def _load_space(path: str) -> SweepSpace:
         spec_path = base_dir / _checked_str(data["spec_file"], "space file: spec_file")
         try:
             base_spec = load_spec(spec_path)
-        except OSError as exc:
-            raise OSError(exc.errno, exc.strerror, str(spec_path)) from None
-        except ValueError as exc:  # a JSONDecodeError too: its position is the spec's
+        # A JSONDecodeError too: its position is the spec's, not the space's.
+        except (ValueError, RecursionError) as exc:
             raise ValueError(f"spec {spec_path}: {exc}") from None
         violations = validate_spec(base_spec)
         if violations:
@@ -390,8 +389,10 @@ def _series_label(space: SweepSpace, transforms: Sequence) -> str:
 
 
 def _safe_filename(config_id: str) -> str:
+    """A readable prefix of the id, cut to fit a file name; the hash tells
+    ids apart."""
     digest = hashlib.sha256(config_id.encode("utf-8")).hexdigest()[:8]
-    safe = re.sub(r"[^A-Za-z0-9._-]+", "_", config_id).strip("_")
+    safe = re.sub(r"[^A-Za-z0-9._-]+", "_", config_id).strip("_")[:100]
     return f"{safe}-{digest}.json"
 
 
@@ -422,32 +423,15 @@ def _manifest(
 
 
 def _cmd_sweep(args: argparse.Namespace, argv: Sequence[str]) -> int:
-    space_path = Path(args.space)
-    try:
+    with _reading("space", args.space):
         space = _load_space(args.space)
-    except OSError as exc:
-        _emit_error("io", f"cannot read {exc.filename or args.space}: {exc}")
-        return EXIT_IO
-    except json.JSONDecodeError as exc:
-        _emit_error("parse", str(exc), line=exc.lineno, column=exc.colno, path=args.space)
-        return EXIT_VALIDATION
-    except ValueError as exc:
-        _emit_error("space", str(exc), path=args.space)
-        return EXIT_VALIDATION
 
     table = AnnotationTable()
-    input_files = [space_path]
+    input_files = [Path(args.space)]
     if args.annotations:
-        ann_path = Path(args.annotations)
-        try:
-            table = AnnotationTable.from_csv(ann_path)
-        except OSError as exc:
-            _emit_error("io", f"cannot read {args.annotations}: {exc}")
-            return EXIT_IO
-        except (ValueError, csv.Error) as exc:
-            _emit_error("annotations", str(exc), path=args.annotations)
-            return EXIT_VALIDATION
-        input_files.append(ann_path)
+        with _reading("annotations", args.annotations):
+            table = AnnotationTable.from_csv(args.annotations)
+        input_files.append(Path(args.annotations))
         if not len(table):
             logger.warning("annotation table %s is empty", args.annotations)
 
@@ -455,8 +439,7 @@ def _cmd_sweep(args: argparse.Namespace, argv: Sequence[str]) -> int:
     try:
         evaluated = evaluate_space(space, skipped)
     except SpaceTooLarge as exc:
-        _emit_error("space_too_large", str(exc))
-        return EXIT_VALIDATION
+        raise CliError(EXIT_VALIDATION, "space_too_large", str(exc)) from None
 
     # Each config is costed once and its report written at once; only its
     # frontier point and plot series stay in memory. The reports go to a
@@ -486,8 +469,9 @@ def _cmd_sweep(args: argparse.Namespace, argv: Sequence[str]) -> int:
             text = f'{head[:-1]},"report":{report_to_json(report, indent=None)}}}\n'
             (staging / _safe_filename(cid)).write_text(text, encoding="utf-8")
         if staging is None:
-            _emit_error("infeasible", "every combination in the space was rejected")
-            return EXIT_INFEASIBLE
+            raise CliError(
+                EXIT_INFEASIBLE, "infeasible", "every combination in the space was rejected"
+            )
         _swap_in(staging, out_dir / "reports")
         _remove_stale_staging(out_dir)
 
@@ -510,8 +494,7 @@ def _cmd_sweep(args: argparse.Namespace, argv: Sequence[str]) -> int:
         manifest["skipped"] = len(skipped)
         _write_atomic(out_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
     except OSError as exc:
-        _emit_error("io", f"cannot write to {out_dir}: {exc}")
-        return EXIT_IO
+        raise CliError(EXIT_IO, "io", f"cannot write to {out_dir}: {exc}") from None
     finally:
         if staging is not None:  # already gone once swapped in
             shutil.rmtree(staging, ignore_errors=True)
@@ -536,9 +519,7 @@ _KNOB_CHOICES = {
 
 
 def _cmd_match(args: argparse.Namespace) -> int:
-    spec, code = _load_spec_checked(args.spec)
-    if spec is None:
-        return code
+    spec = _load_valid_spec(args.spec)
     cfg = _eval_from_args(args)
     if args.target_flops < 1:
         raise UsageError(f"--target-flops must be >= 1, got {args.target_flops}")
@@ -558,19 +539,15 @@ def _cmd_match(args: argparse.Namespace) -> int:
             base_name=spec.name,
         )
     except TargetUnreachable as exc:
-        _emit_error(
+        raise CliError(
+            EXIT_INFEASIBLE,
             "target_unreachable",
             str(exc),
             target=exc.target,
             attainable=list(exc.attainable),
-        )
-        return EXIT_INFEASIBLE
-    except ShapeMismatch as exc:
-        _emit_error("shape_mismatch", str(exc), layer_index=exc.layer_index)
-        return EXIT_VALIDATION
-    except (ScalingError, ValueError) as exc:
-        _emit_error("match", str(exc))
-        return EXIT_VALIDATION
+        ) from None
+    except ValueError as exc:  # a ScalingError too
+        raise CliError(EXIT_VALIDATION, "match", str(exc)) from None
     payload = {
         "config_id": result.config.config_id,
         "knob": args.knob,
@@ -603,20 +580,14 @@ _OBJECTIVE_ALIASES = {
 
 def _cmd_best(args: argparse.Namespace) -> int:
     frontier = Path(args.sweep_dir) / "frontier.csv"
-    try:
+    with _reading("frontier", frontier):
         points, metrics = read_frontier_csv(frontier)
-    except OSError as exc:
-        _emit_error("io", f"cannot read {frontier}: {exc}")
-        return EXIT_IO
-    except (ValueError, csv.Error) as exc:
-        _emit_error("frontier", str(exc), path=str(frontier))
-        return EXIT_VALIDATION
     if args.metric not in metrics:
-        _emit_error(
+        raise CliError(
+            EXIT_VALIDATION,
             "metric",
             f"frontier has no metric column {args.metric!r} (has: {metrics})",
         )
-        return EXIT_VALIDATION
     table = AnnotationTable.from_rows(
         (p.config_id, m, v) for p in points for m, v in p.annotations.items()
     )
@@ -624,8 +595,9 @@ def _cmd_best(args: argparse.Namespace) -> int:
     if baseline is None:
         annotated = [p for p in points if args.metric in p.annotations]
         if not annotated:
-            _emit_error("infeasible", f"no config carries a {args.metric!r} annotation")
-            return EXIT_INFEASIBLE
+            raise CliError(
+                EXIT_INFEASIBLE, "infeasible", f"no config carries a {args.metric!r} annotation"
+            )
         baseline = max(
             annotated, key=lambda p: (p.annotations[args.metric], p.config_id)
         ).config_id
@@ -640,8 +612,7 @@ def _cmd_best(args: argparse.Namespace) -> int:
             baseline_id=baseline,
         )
     except NoFeasibleCandidate as exc:
-        _emit_error("no_feasible_candidate", str(exc))
-        return EXIT_INFEASIBLE
+        raise CliError(EXIT_INFEASIBLE, "no_feasible_candidate", str(exc)) from None
     payload = {
         "config_id": choice.config_id,
         "flops": choice.flops,
@@ -758,6 +729,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except InfeasibleResolution as exc:
+        error = CliError(
+            EXIT_INFEASIBLE, "infeasible_resolution", str(exc), layer_index=exc.layer_index
+        )
+    except ShapeMismatch as exc:
+        error = CliError(EXIT_VALIDATION, "shape_mismatch", str(exc), layer_index=exc.layer_index)
+    except CliError as exc:
+        error = exc
+    print(json.dumps(error.payload), file=sys.stderr)
+    return error.code
 
 
 if __name__ == "__main__":

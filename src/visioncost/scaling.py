@@ -76,10 +76,6 @@ class InvalidGroupWidth(ScalingError):
     pass
 
 
-def _round_half_up(x: float) -> int:
-    return math.floor(x + 0.5)
-
-
 WIDTH_MULTIPLE = 8
 
 
@@ -143,14 +139,19 @@ def width_scale(spec: CnnSpec, ratio: float) -> CnnSpec:
     Group counts are preserved; if rounding makes a grouped conv's channels
     indivisible by its groups, RoundingBreaksGroups is raised.
     """
-    if ratio <= 0:
+    if not ratio > 0:  # NaN too
         raise ScalingError(f"width ratio must be > 0, got {ratio}")
+    if ratio == math.inf:
+        raise ScalingError("width ratio must be finite, got inf")
     if ratio == 1.0:
         return spec
     m = WIDTH_MULTIPLE
-    return _rescale_channels(
-        spec, lambda c, _: max(m, m * _round_half_up(c * ratio / m))
-    )
+    try:
+        return _rescale_channels(
+            spec, lambda c, _: max(m, m * math.floor(c * ratio / m + 0.5))
+        )
+    except OverflowError:  # c * ratio beyond the largest float
+        raise ScalingError(f"width ratio {ratio} overflows a channel count") from None
 
 
 def group_width_scale(spec: CnnSpec, group_width: int) -> CnnSpec:
@@ -193,11 +194,12 @@ def group_width_scale(spec: CnnSpec, group_width: int) -> CnnSpec:
 
 
 def hidden_scale(spec: ViTSpec, new_hidden: int) -> ViTSpec:
-    """Keep the head count; round the hidden size half up to a multiple of it."""
+    """Keep the head count; round the hidden size half up to a multiple of it,
+    in exact integers."""
     if new_hidden < 1:
         raise ScalingError(f"hidden size must be >= 1, got {new_hidden}")
     k = spec.num_heads
-    return replace(spec, hidden_dim=max(k, k * _round_half_up(new_hidden / k)))
+    return replace(spec, hidden_dim=max(k, k * ((2 * new_hidden + k) // (2 * k))))
 
 
 def mlp_scale(spec: ViTSpec, new_mlp: int) -> ViTSpec:

@@ -16,6 +16,7 @@ import csv
 import io
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby, product
@@ -410,6 +411,9 @@ def read_frontier_csv(path: str | Path) -> tuple[list[FrontierPoint], list[str]]
         raise ValueError(
             f"line 1: frontier header must start with {','.join(FRONTIER_COLUMNS)}"
         )
+    repeated = [name for name, count in Counter(header).items() if count > 1]
+    if repeated:
+        raise ValueError(f"line 1: duplicate column {repeated[0]!r}")
     metrics = list(header[len(FRONTIER_COLUMNS) :])
     points: list[FrontierPoint] = []
     last = reader.line_num
@@ -509,6 +513,12 @@ def match_flops_budget(
     hi = (hi // step) * step
     if hi < lo:
         raise ValueError(f"empty knob range for {knob.value}")
+    # Each bisection step halves the steps left: 64 settle at most 2**64.
+    if hi - lo > step << MAX_BISECTION_ITERATIONS:
+        raise ValueError(
+            f"knob range [{lo}, {hi}] is too wide to bisect in "
+            f"{MAX_BISECTION_ITERATIONS} steps"
+        )
 
     def build(value: int) -> ScaledConfig:
         return make_config(

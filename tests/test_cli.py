@@ -505,6 +505,31 @@ class TestSweep:
         assert len(warnings) == 2
         assert "(0,)" in warnings[0] and "(-1,)" in warnings[1]
 
+    def test_overflowing_width_is_skipped(self, run, tmp_path, caplog):
+        space = write_space(tmp_path / "s.json", "resnet50", ("width", [1e308, 0.5]))
+        code, out, _ = run("sweep", space, "--out", tmp_path / "out")
+        assert code == 0
+        assert "(1 skipped)" in out
+        assert "skipping (1e+308,): width ratio 1e+308 overflows a channel count" in caplog.text
+
+    @pytest.mark.parametrize(
+        "name, axis",
+        [("a" * 300, ("N", [9])), ("vit_small", ("hidden", [10**400]))],
+        ids=["long-name", "huge-hidden"],
+    )
+    def test_long_config_id_gets_a_short_file_name(self, run, tmp_path, name, axis):
+        save_spec(dataclasses.replace(vit_small(), name=name), tmp_path / "net.json")
+        space = tmp_path / "space.json"
+        kind, values = axis
+        space.write_text(
+            json.dumps({"spec_file": "net.json", "axes": [{"kind": kind, "values": values}]})
+        )
+        out_dir = tmp_path / "out"
+        assert run("sweep", space, "--out", out_dir)[0] == 0
+        (report,) = (out_dir / "reports").iterdir()
+        assert len(report.name) == 100 + len("-12345678.json")
+        assert json.loads(report.read_text())["config_id"].startswith(name + ";")
+
     def test_infeasible_cnn_resolution_is_skipped(self, run, tmp_path, caplog):
         spec = CnnSpec(
             name="strict",
@@ -729,6 +754,46 @@ def _assert_one_error_line(code, out, err):
     assert "error" in json.loads(lines[0])
 
 
+_UNDECODABLE = {
+    "not-utf8": b'{"kind": "\xff"}',
+    "5000-digit-int": b'{"kind": "cnn", "input_channels": ' + b"9" * 5000 + b"}",
+    "deep-array": b"[" * 200_000 + b"]" * 200_000,
+}
+
+
+class TestUndecodableInput:
+    """An input file that JSON cannot decode is one error line, exit 2."""
+
+    @pytest.mark.parametrize("command", ["cost", "match", "sweep"])
+    @pytest.mark.parametrize("content", sorted(_UNDECODABLE))
+    def test_spec_or_space_file(self, run, tmp_path, command, content):
+        path = tmp_path / "input.json"
+        path.write_bytes(_UNDECODABLE[content])
+        extra = {"match": ["--knob", "depth", "--target-flops", 10**9],
+                 "sweep": ["--out", tmp_path / "out"]}.get(command, [])
+        code, out, err = run(command, path, *extra)
+        _assert_one_error_line(code, out, err)
+        assert code == 2
+        payload = json.loads(err)
+        assert payload["error"] == ("space" if command == "sweep" else "spec")
+        assert payload["path"] == str(path)
+
+    @pytest.mark.parametrize("content", sorted(_UNDECODABLE))
+    def test_spec_file_of_a_space(self, run, tmp_path, content):
+        (tmp_path / "net.json").write_bytes(_UNDECODABLE[content])
+        space = tmp_path / "space.json"
+        space.write_text(
+            json.dumps({"spec_file": "net.json", "axes": [{"kind": "N", "values": [4]}]})
+        )
+        code, out, err = run("sweep", space, "--out", tmp_path / "out")
+        _assert_one_error_line(code, out, err)
+        assert code == 2
+        payload = json.loads(err)
+        assert payload["error"] == "space"
+        assert payload["message"].startswith(f"spec {tmp_path / 'net.json'}: ")
+        assert not (tmp_path / "out").exists()
+
+
 class TestSpaceAndAnnotationFuzz:
     """A valid space or annotation file with a few fields replaced, removed
     or added is swept, or refused with one JSON line: never a traceback."""
@@ -850,6 +915,17 @@ class TestMatch:
         assert payload["within_tol"] is False
         assert len(payload["bracket"]) == 2
 
+    def test_range_too_wide_to_bisect(self, run, vit_file):
+        code, out, err = run(
+            "match", vit_file, "--knob", "hidden", "--target-flops", 10**9,
+            "--min-value", 1, "--max-value", 10**400,
+        )
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "match"
+        assert "too wide to bisect" in payload["message"]
+
     def test_flattening_classifier_shape_mismatch(self, run, tmp_path):
         # The classifier fits only the 64-pixel grid: 4 * 62 * 62 features.
         spec = CnnSpec(
@@ -920,8 +996,13 @@ class TestBest:
             (True, "x,1\n", "line 2"),
             (False, "", "line 1"),
             (True, '"' + "a" * 200_000 + '",1,1,1,1,70\n', "field limit"),
+            (
+                False,
+                "config_id,flops,peak_activation_bytes,model_bytes,total_memory_bytes,top1,top1\n",
+                "line 1: duplicate column 'top1'",
+            ),
         ],
-        ids=["short_row", "empty_file", "huge_cell"],
+        ids=["short_row", "empty_file", "huge_cell", "duplicate_column"],
     )
     def test_malformed_frontier_is_one_error(self, run, sweep_dir, keep_header, rows, fragment):
         frontier = sweep_dir / "frontier.csv"

@@ -120,6 +120,18 @@ class TestWidth:
         with pytest.raises(ScalingError):
             arch_apply(conv_stack(), ScalingTransform(K.WIDTH, 0.0))
 
+    @pytest.mark.parametrize(
+        "ratio", [float("nan"), float("inf"), 1e308, 10**400], ids=["nan", "inf", "1e308", "10**400"]
+    )
+    def test_non_finite_or_overflowing_ratio_rejected(self, ratio):
+        with pytest.raises(ScalingError):
+            width_scale(resnet50(), ratio)
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "1e308"])
+    def test_config_id_with_unusable_width_rejected(self, value):
+        with pytest.raises(ScalingError):
+            parse_config_id(f"resnet50;width={value}")
+
 
 class TestGroupWidth:
     def test_halving_group_width_is_exact(self):
@@ -181,6 +193,15 @@ class TestHidden:
         out = arch_apply(vit_small(), ScalingTransform(K.HIDDEN, 200))
         assert out.hidden_dim == 198  # nearest multiple of 6
         assert out.num_heads == 6
+
+    @pytest.mark.parametrize(
+        "h", [2**60 + 3, 2**60 + 4, 10**400], ids=["2**60+3", "2**60+4", "10**400"]
+    )
+    def test_rounding_is_exact_past_float_precision(self, h):
+        out = arch_apply(vit_small(), ScalingTransform(K.HIDDEN, h))
+        assert out.hidden_dim % 6 == 0
+        assert abs(out.hidden_dim - h) <= 3  # the nearest multiple, half up
+        assert out.hidden_dim - h != -3
 
     def test_hidden_on_cnn_is_an_error(self):
         with pytest.raises(ScalingError):
