@@ -3,200 +3,14 @@
 Exact integer FLOPs/memory accounting for CNN and ViT specs, scaling
 transforms over architecture and evaluation knobs, sweep enumeration with
 Pareto frontier extraction, and FLOPs-budget matching.
+
+The names imported here are the library's contract; the submodules are
+internal and serve the ``visioncost`` command.
 """
 
-from .arch import (
-    Activation,
-    ArchSpec,
-    BatchNorm,
-    BF16,
-    CnnSpec,
-    Conv2d,
-    DTYPES,
-    DTypeDesc,
-    EvalConfig,
-    FlopConvention,
-    FP16,
-    FP32,
-    FP64,
-    GlobalPool,
-    INT8,
-    Linear,
-    Pool,
-    ResidualAdd,
-    Resize,
-    TensorShape,
-    Violation,
-    ViTSpec,
-    dtype_from_name,
-    load_spec,
-    save_spec,
-    spec_from_dict,
-    spec_from_json,
-    spec_to_dict,
-    spec_to_json,
-    validate_cnn,
-    validate_spec,
-    validate_vit,
-)
-from .cost import (
-    CostReport,
-    InfeasibleResolution,
-    LayerCost,
-    ShapeMismatch,
-    conv_flops,
-    conv_out_side,
-    cost_report,
-    param_count,
-    propagate_shapes,
-    report_to_csv,
-    report_to_dict,
-    report_to_json,
-    vit_block_activation_elems_closed,
-    vit_block_flops_closed,
-    vit_block_params_closed,
-)
-from .presets import (
-    PRESETS,
-    PresetEntry,
-    build_preset,
-    grouped_seg_backbone,
-    resnet50,
-    resnet50_fcr,
-    resnet50_resolution_space,
-    resnet50_width_space,
-    vit_base,
-    vit_resolution_space,
-    vit_small,
-    vit_token_patch_space,
-)
-from .scaling import (
-    InvalidGroupWidth,
-    RoundingBreaksGroups,
-    ScaledConfig,
-    ScalingError,
-    ScalingTransform,
-    TransformKind,
-    apply_chain,
-    apply_transform,
-    config_id_of,
-    make_config,
-    parse_config_id,
-)
-from .search import (
-    AnnotationTable,
-    EnumeratedSweep,
-    FrontierPoint,
-    MatchResult,
-    NoFeasibleCandidate,
-    SkippedConfig,
-    SpaceTooLarge,
-    SweepAxis,
-    SweepSpace,
-    TargetUnreachable,
-    best_compressed,
-    enumerate_space,
-    evaluate_space,
-    frontier_points,
-    match_flops_budget,
-    pareto_front,
-    point_from_report,
-)
+from .arch import EvalConfig, save_spec
+from .cost import cost_report
+from .presets import resnet50, vit_small
+from .scaling import ScalingTransform, TransformKind, make_config, parse_config_id
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "__version__",
-    # arch
-    "Activation",
-    "ArchSpec",
-    "BatchNorm",
-    "BF16",
-    "CnnSpec",
-    "Conv2d",
-    "DTYPES",
-    "DTypeDesc",
-    "EvalConfig",
-    "FlopConvention",
-    "FP16",
-    "FP32",
-    "FP64",
-    "GlobalPool",
-    "INT8",
-    "Linear",
-    "Pool",
-    "ResidualAdd",
-    "Resize",
-    "TensorShape",
-    "Violation",
-    "ViTSpec",
-    "dtype_from_name",
-    "load_spec",
-    "save_spec",
-    "spec_from_dict",
-    "spec_from_json",
-    "spec_to_dict",
-    "spec_to_json",
-    "validate_cnn",
-    "validate_spec",
-    "validate_vit",
-    # cost
-    "CostReport",
-    "InfeasibleResolution",
-    "LayerCost",
-    "ShapeMismatch",
-    "conv_flops",
-    "conv_out_side",
-    "cost_report",
-    "param_count",
-    "propagate_shapes",
-    "report_to_csv",
-    "report_to_dict",
-    "report_to_json",
-    "vit_block_activation_elems_closed",
-    "vit_block_flops_closed",
-    "vit_block_params_closed",
-    # presets
-    "PRESETS",
-    "PresetEntry",
-    "build_preset",
-    "grouped_seg_backbone",
-    "resnet50",
-    "resnet50_fcr",
-    "resnet50_resolution_space",
-    "resnet50_width_space",
-    "vit_base",
-    "vit_resolution_space",
-    "vit_small",
-    "vit_token_patch_space",
-    # scaling
-    "InvalidGroupWidth",
-    "RoundingBreaksGroups",
-    "ScaledConfig",
-    "ScalingError",
-    "ScalingTransform",
-    "TransformKind",
-    "apply_chain",
-    "apply_transform",
-    "config_id_of",
-    "make_config",
-    "parse_config_id",
-    # search
-    "AnnotationTable",
-    "EnumeratedSweep",
-    "FrontierPoint",
-    "MatchResult",
-    "NoFeasibleCandidate",
-    "SkippedConfig",
-    "SpaceTooLarge",
-    "SweepAxis",
-    "SweepSpace",
-    "TargetUnreachable",
-    "best_compressed",
-    "enumerate_space",
-    "evaluate_space",
-    "frontier_points",
-    "match_flops_budget",
-    "pareto_front",
-    "point_from_report",
-]

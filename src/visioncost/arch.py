@@ -10,49 +10,10 @@ in one pass; cost evaluation assumes a spec that validated cleanly.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
 from typing import Any, Union
-
-__all__ = [
-    "DTypeDesc",
-    "DTYPES",
-    "FP64",
-    "FP32",
-    "FP16",
-    "BF16",
-    "INT8",
-    "FlopConvention",
-    "TensorShape",
-    "Conv2d",
-    "Pool",
-    "GlobalPool",
-    "BatchNorm",
-    "Activation",
-    "ResidualAdd",
-    "Resize",
-    "Linear",
-    "CnnLayer",
-    "CnnSpec",
-    "ViTSpec",
-    "ArchSpec",
-    "EvalConfig",
-    "Violation",
-    "validate_cnn",
-    "validate_vit",
-    "validate_spec",
-    "checked_int",
-    "spec_to_dict",
-    "spec_from_dict",
-    "spec_to_json",
-    "spec_from_json",
-    "load_spec",
-    "save_spec",
-    "dtype_from_name",
-]
-
 
 @dataclass(frozen=True, slots=True)
 class DTypeDesc:
@@ -112,10 +73,6 @@ class TensorShape:
             raise ValueError("TensorShape needs at least one dimension")
         if any(d < 1 for d in self.dims):
             raise ValueError(f"all dims must be >= 1, got {self.dims}")
-
-    @property
-    def element_count(self) -> int:
-        return math.prod(self.dims)
 
     def __str__(self) -> str:
         return "x".join(str(d) for d in self.dims)
@@ -221,35 +178,6 @@ class ViTSpec:
     @property
     def image_side(self) -> int:
         return self.tokens_per_side * self.patch_size
-
-    @classmethod
-    def from_image_size(
-        cls,
-        name: str,
-        image_side: int,
-        patch_size: int,
-        hidden_dim: int,
-        num_heads: int,
-        mlp_dim: int,
-        depth: int,
-        input_channels: int = 3,
-        num_classes: int = 1000,
-    ) -> "ViTSpec":
-        if patch_size < 1 or image_side % patch_size != 0:
-            raise ValueError(
-                f"image side {image_side} is not divisible by patch size {patch_size}"
-            )
-        return cls(
-            name=name,
-            patch_size=patch_size,
-            hidden_dim=hidden_dim,
-            num_heads=num_heads,
-            mlp_dim=mlp_dim,
-            depth=depth,
-            tokens_per_side=image_side // patch_size,
-            input_channels=input_channels,
-            num_classes=num_classes,
-        )
 
 
 ArchSpec = Union[CnnSpec, ViTSpec]

@@ -46,6 +46,7 @@ from .arch import (
     validate_spec,
 )
 from .cost import (
+    CountTooLarge,
     InfeasibleResolution,
     ShapeMismatch,
     cost_report,
@@ -378,8 +379,6 @@ def _frontier_rows(
 
 
 def _series_label(space: SweepSpace, transforms: Sequence) -> str:
-    if not space.axes:
-        return "base"
     if len(space.axes) == 1:
         return space.axes[0].kind.value
     parts = []
@@ -546,6 +545,8 @@ def _cmd_match(args: argparse.Namespace) -> int:
             target=exc.target,
             attainable=list(exc.attainable),
         ) from None
+    except CountTooLarge:
+        raise  # reported by main, as for cost
     except ValueError as exc:  # a ScalingError too
         raise CliError(EXIT_VALIDATION, "match", str(exc)) from None
     payload = {
@@ -735,6 +736,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         )
     except ShapeMismatch as exc:
         error = CliError(EXIT_VALIDATION, "shape_mismatch", str(exc), layer_index=exc.layer_index)
+    except CountTooLarge as exc:
+        error = CliError(EXIT_VALIDATION, "count_too_large", str(exc))
     except CliError as exc:
         error = exc
     print(json.dumps(error.payload), file=sys.stderr)

@@ -29,6 +29,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Any, NamedTuple
@@ -51,26 +52,6 @@ from .arch import (
     ViTSpec,
 )
 
-__all__ = [
-    "LayerCost",
-    "CostReport",
-    "InfeasibleResolution",
-    "ShapeMismatch",
-    "propagate_shapes",
-    "conv_flops",
-    "conv_out_side",
-    "cost_report",
-    "vit_block_flops_closed",
-    "vit_block_activation_elems_closed",
-    "vit_block_params_closed",
-    "vit_cost_closed",
-    "vit_cost_full",
-    "report_to_dict",
-    "report_to_json",
-    "report_to_csv",
-]
-
-
 class InfeasibleResolution(Exception):
     """A layer's output spatial size fell below 1 at the given resolution."""
 
@@ -87,6 +68,10 @@ class ShapeMismatch(Exception):
         super().__init__(f"layer {layer_index}: {message}")
         self.layer_index = layer_index
         self.message = message
+
+
+class CountTooLarge(ValueError):
+    """A report total has more decimal digits than Python may write out."""
 
 
 class LayerCost(NamedTuple):
@@ -268,13 +253,8 @@ def _cnn_walk(spec: CnnSpec, cfg: EvalConfig) -> list[LayerCost]:
     return costs
 
 
-def propagate_shapes(spec: ArchSpec, cfg: EvalConfig | None = None) -> list[TensorShape]:
+def propagate_shapes(spec: CnnSpec, cfg: EvalConfig) -> list[TensorShape]:
     """Per-layer output shapes; raises InfeasibleResolution / ShapeMismatch."""
-    cfg = cfg or EvalConfig()
-    if isinstance(spec, ViTSpec):
-        n = cfg.resolution_for(spec)
-        shape = TensorShape((n * n, spec.hidden_dim))
-        return [shape for _ in range(spec.depth)]
     return [c.out_shape for c in _cnn_walk(spec, cfg)]
 
 
@@ -306,9 +286,8 @@ def vit_block_params_closed(hidden_dim: int, mlp_dim: int) -> int:
     return hidden_dim * (4 * hidden_dim + 2 * mlp_dim)
 
 
-def vit_cost_closed(spec: ViTSpec, cfg: EvalConfig | None = None) -> CostReport:
+def vit_cost_closed(spec: ViTSpec, cfg: EvalConfig) -> CostReport:
     """Closed-form block-body report: embedding and classifier excluded."""
-    cfg = cfg or EvalConfig()
     n = cfg.resolution_for(spec)
     b = cfg.batch_size
     e = cfg.dtype.bytes_per_element
@@ -348,7 +327,7 @@ def vit_cost_closed(spec: ViTSpec, cfg: EvalConfig | None = None) -> CostReport:
 _LAYER_NORM_FLOPS_PER_ELEM = 5
 
 
-def vit_cost_full(spec: ViTSpec, cfg: EvalConfig | None = None) -> CostReport:
+def vit_cost_full(spec: ViTSpec, cfg: EvalConfig) -> CostReport:
     """Walk every transformer operator, embedding and classifier included.
 
     Linear operators carry no bias terms, matching the closed-form parameter
@@ -357,7 +336,6 @@ def vit_cost_full(spec: ViTSpec, cfg: EvalConfig | None = None) -> CostReport:
     block's 14 rows are costed once and repeated ``depth`` times under the
     ``block{i}.`` prefixes; the totals take the block sums times ``depth``.
     """
-    cfg = cfg or EvalConfig()
     n = cfg.resolution_for(spec)
     b = cfg.batch_size
     e = cfg.dtype.bytes_per_element
@@ -438,36 +416,56 @@ def vit_cost_full(spec: ViTSpec, cfg: EvalConfig | None = None) -> CostReport:
 
 
 def cost_report(spec: ArchSpec, cfg: EvalConfig | None = None) -> CostReport:
-    """Full cost report for a spec under the given evaluation settings."""
+    """Full cost report for a spec under the given evaluation settings.
+
+    Raises CountTooLarge when a total has too many digits to be written.
+    """
     cfg = cfg or EvalConfig()
     if isinstance(spec, ViTSpec):
         if cfg.flop_convention is FlopConvention.FULL_COUNT:
-            return vit_cost_full(spec, cfg)
-        return vit_cost_closed(spec, cfg)
-    per_layer = tuple(_cnn_walk(spec, cfg))
-    flops = sum(c.flops for c in per_layer)
-    peak = max((c.activation_bytes for c in per_layer), default=0)
-    model = sum(c.param_count for c in per_layer) * cfg.dtype.bytes_per_element
-    return CostReport(
-        spec_name=spec.name,
-        convention=cfg.flop_convention,
-        batch_size=cfg.batch_size,
-        dtype_name=cfg.dtype.name,
-        bytes_per_element=cfg.dtype.bytes_per_element,
-        resolution=cfg.resolution_for(spec),
-        flops=flops,
-        peak_activation_bytes=peak,
-        model_bytes=model,
-        total_memory_bytes=model + peak,
-        per_layer=per_layer,
-    )
+            report = vit_cost_full(spec, cfg)
+        else:
+            report = vit_cost_closed(spec, cfg)
+    else:
+        per_layer = tuple(_cnn_walk(spec, cfg))
+        flops = sum(c.flops for c in per_layer)
+        peak = max((c.activation_bytes for c in per_layer), default=0)
+        model = sum(c.param_count for c in per_layer) * cfg.dtype.bytes_per_element
+        report = CostReport(
+            spec_name=spec.name,
+            convention=cfg.flop_convention,
+            batch_size=cfg.batch_size,
+            dtype_name=cfg.dtype.name,
+            bytes_per_element=cfg.dtype.bytes_per_element,
+            resolution=cfg.resolution_for(spec),
+            flops=flops,
+            peak_activation_bytes=peak,
+            model_bytes=model,
+            total_memory_bytes=model + peak,
+            per_layer=per_layer,
+        )
+    _check_printable(report)
+    return report
 
 
-def param_count(spec: ArchSpec) -> int:
-    """Parameter count independent of evaluation settings."""
-    if isinstance(spec, ViTSpec):
-        return sum(c.param_count for c in vit_cost_full(spec).per_layer)
-    return sum(map(_layer_params, spec.layers))
+# The most decimal digits ``str`` writes an int with; 0, or a Python
+# without the limit (before 3.10.7), means no limit.
+_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+def _check_printable(report: CostReport) -> None:
+    """Raise CountTooLarge if ``flops`` or ``total_memory_bytes`` has more
+    decimal digits than ``str`` may write. Every other count of the report
+    is a term or factor of one of the two, or was itself parsed."""
+    limit = _max_str_digits()
+    # Up to 3 * limit bits, a count is below 8**limit < 10**limit.
+    if limit and max(report.flops, report.total_memory_bytes).bit_length() > 3 * limit:
+        for name in ("flops", "total_memory_bytes"):
+            if getattr(report, name) >= 10**limit:
+                raise CountTooLarge(
+                    f"{name} has more than {limit} decimal digits, past the "
+                    "interpreter's limit for writing an integer"
+                )
 
 
 # --------------------------------------------------------------------------

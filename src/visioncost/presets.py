@@ -1,4 +1,4 @@
-"""Built-in architecture specs and canonical sweep grids.
+"""Built-in architecture specs.
 
 Builders return plain specs; nothing here is required to use the rest of
 the package. The transformer cards (``vit_small``, ``vit_base``) use the
@@ -19,7 +19,6 @@ from .arch import (
     CnnSpec,
     Conv2d,
     EvalConfig,
-    FlopConvention,
     GlobalPool,
     Linear,
     Pool,
@@ -27,24 +26,6 @@ from .arch import (
     Resize,
     ViTSpec,
 )
-from .search import SweepAxis, SweepSpace
-from .scaling import TransformKind
-
-__all__ = [
-    "resnet50",
-    "resnet50_fcr",
-    "vit_small",
-    "vit_base",
-    "grouped_seg_backbone",
-    "PresetEntry",
-    "PRESETS",
-    "build_preset",
-    "vit_token_patch_space",
-    "vit_resolution_space",
-    "resnet50_width_space",
-    "resnet50_resolution_space",
-]
-
 
 _RESNET50_STAGES = ((3, 64, 1), (4, 128, 2), (6, 256, 2), (3, 512, 2))
 _BOTTLENECK_EXPANSION = 4
@@ -249,65 +230,3 @@ PRESETS: dict[str, PresetEntry] = {
         "dilated grouped-conv segmentation backbone, group width 16",
     ),
 }
-
-
-def build_preset(name: str) -> ArchSpec:
-    try:
-        entry = PRESETS[name]
-    except KeyError:
-        known = ", ".join(sorted(PRESETS))
-        raise KeyError(f"unknown preset {name!r} (known: {known})") from None
-    return entry.build()
-
-
-# --------------------------------------------------------------------------
-# Canonical sweep grids.
-
-
-def vit_token_patch_space(
-    tokens: tuple[int, ...] = (9, 11),
-    patches: tuple[int, ...] = (8, 12, 16, 24, 32),
-    batch_size: int = 1,
-) -> SweepSpace:
-    """Token-count x patch-size grid under the full operator walk."""
-    return SweepSpace(
-        base_name="vit_small",
-        base_spec=vit_small(),
-        base_eval=EvalConfig(
-            batch_size=batch_size, flop_convention=FlopConvention.FULL_COUNT
-        ),
-        axes=(
-            SweepAxis(TransformKind.RESOLUTION, tokens),
-            SweepAxis(TransformKind.PATCH, patches),
-        ),
-    )
-
-
-def vit_resolution_space(tokens: tuple[int, ...] = (8, 11, 12, 13, 14, 15)) -> SweepSpace:
-    """Token-count sweep at fixed 16px patches, closed-form counting."""
-    return SweepSpace(
-        base_name="vit_small",
-        base_spec=vit_small(),
-        base_eval=EvalConfig(),
-        axes=(SweepAxis(TransformKind.RESOLUTION, tokens),),
-    )
-
-
-def resnet50_width_space(ratios: tuple[float, ...] = (1.0, 0.5, 0.25)) -> SweepSpace:
-    return SweepSpace(
-        base_name="resnet50",
-        base_spec=resnet50(),
-        base_eval=EvalConfig(input_resolution=224),
-        axes=(SweepAxis(TransformKind.WIDTH, ratios),),
-    )
-
-
-def resnet50_resolution_space(
-    sizes: tuple[int, ...] = (64, 128, 160, 176, 224)
-) -> SweepSpace:
-    return SweepSpace(
-        base_name="resnet50",
-        base_spec=resnet50(),
-        base_eval=EvalConfig(input_resolution=224),
-        axes=(SweepAxis(TransformKind.RESOLUTION, sizes),),
-    )

@@ -33,29 +33,6 @@ from .arch import (
     dtype_from_name,
 )
 
-__all__ = [
-    "ScalingError",
-    "RoundingBreaksGroups",
-    "InvalidGroupWidth",
-    "TransformKind",
-    "ScalingTransform",
-    "ScaledConfig",
-    "width_scale",
-    "group_width_scale",
-    "hidden_scale",
-    "mlp_scale",
-    "depth_scale",
-    "resolution_scale",
-    "patch_scale",
-    "dtype_scale",
-    "batch_scale",
-    "apply_transform",
-    "apply_chain",
-    "make_config",
-    "config_id_of",
-    "parse_config_id",
-]
-
 
 class ScalingError(ValueError):
     pass
@@ -286,14 +263,6 @@ def apply_transform(
     raise ScalingError(f"unknown transform kind {kind!r}")
 
 
-def apply_chain(
-    spec: ArchSpec, cfg: EvalConfig, chain: Iterable[ScalingTransform]
-) -> tuple[ArchSpec, EvalConfig]:
-    for t in chain:
-        spec, cfg = apply_transform(spec, cfg, t)
-    return spec, cfg
-
-
 @dataclass(frozen=True)
 class ScaledConfig:
     """A base spec plus an applied transform chain and its evaluation config."""
@@ -315,7 +284,9 @@ def make_config(
     chain: Iterable[ScalingTransform],
 ) -> ScaledConfig:
     chain = tuple(chain)
-    spec, cfg = apply_chain(base_spec, base_eval, chain)
+    spec, cfg = base_spec, base_eval
+    for t in chain:
+        spec, cfg = apply_transform(spec, cfg, t)
     return ScaledConfig(base_name=base_name, transforms=chain, spec=spec, eval=cfg)
 
 

@@ -24,7 +24,13 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .arch import ArchSpec, EvalConfig, ViTSpec
-from .cost import CostReport, InfeasibleResolution, ShapeMismatch, cost_report
+from .cost import (
+    CostReport,
+    CountTooLarge,
+    InfeasibleResolution,
+    ShapeMismatch,
+    cost_report,
+)
 from .scaling import (
     ScaledConfig,
     ScalingError,
@@ -35,29 +41,6 @@ from .scaling import (
 )
 
 logger = logging.getLogger(__name__)
-
-__all__ = [
-    "SweepAxis",
-    "SweepSpace",
-    "SpaceTooLarge",
-    "SkippedConfig",
-    "EnumeratedSweep",
-    "evaluate_space",
-    "enumerate_space",
-    "FrontierPoint",
-    "point_from_report",
-    "frontier_points",
-    "pareto_front",
-    "DEFAULT_OBJECTIVES",
-    "AnnotationTable",
-    "FRONTIER_COLUMNS",
-    "read_frontier_csv",
-    "TargetUnreachable",
-    "MatchResult",
-    "match_flops_budget",
-    "NoFeasibleCandidate",
-    "best_compressed",
-]
 
 ENUMERATION_CAP = 1_000_000
 
@@ -121,9 +104,10 @@ def evaluate_space(
     combination's chain.
 
     A combination that a transform or the cost walk rejects (a CNN
-    resolution too small for a window, or one a flattening classifier does
-    not fit) is appended to ``skipped`` and logged once; a transform that
-    rejects a prefix skips every combination under it, in product order.
+    resolution too small for a window, one a flattening classifier does
+    not fit, or a total too long to write) is appended to ``skipped`` and
+    logged once; a transform that rejects a prefix skips every combination
+    under it, in product order.
     SpaceTooLarge is raised here, before anything is costed.
     """
     if space.size > space.cap:
@@ -142,7 +126,7 @@ def evaluate_space(
         if level == len(axes):
             try:
                 report = cost_report(spec, cfg)
-            except (InfeasibleResolution, ShapeMismatch) as exc:
+            except (InfeasibleResolution, ShapeMismatch, CountTooLarge) as exc:
                 skip(combo, exc)
                 return
             yield ScaledConfig(space.base_name, chain, spec, cfg), report
@@ -202,19 +186,6 @@ def point_from_report(
         total_memory_bytes=report.total_memory_bytes,
         annotations=dict(annotations or {}),
     )
-
-
-def frontier_points(
-    configs: Iterable[ScaledConfig], table: "AnnotationTable | None" = None
-) -> list[FrontierPoint]:
-    """Cost every configuration and attach any annotations it has."""
-    annotations = table.by_config() if table is not None else {}
-    points = []
-    for config in configs:
-        report = cost_report(config.spec, config.eval)
-        cid = config.config_id
-        points.append(point_from_report(cid, report, annotations.get(cid)))
-    return points
 
 
 DEFAULT_OBJECTIVES: tuple[tuple[str, str], ...] = (

@@ -27,22 +27,23 @@ from visioncost.arch import (
 from visioncost.cli import main
 from visioncost.cost import (
     cost_report,
-    param_count,
     vit_block_activation_elems_closed,
     vit_block_flops_closed,
 )
-from visioncost.presets import resnet50, vit_small, vit_token_patch_space
+from visioncost.presets import resnet50, vit_small
 from visioncost.scaling import ScalingTransform, TransformKind, apply_transform, make_config
 from visioncost.search import (
     AnnotationTable,
     FrontierPoint,
     NoFeasibleCandidate,
+    SweepAxis,
+    SweepSpace,
     TargetUnreachable,
     best_compressed,
-    enumerate_space,
-    frontier_points,
+    evaluate_space,
     match_flops_budget,
     pareto_front,
+    point_from_report,
 )
 
 K = TransformKind
@@ -144,13 +145,23 @@ def test_criterion_5_token_patch_tradeoff_structure():
     with criterion(5, "token/patch sweep: total memory strictly increases with "
                       "patch size at fixed tokens; FLOPs spread within each "
                       "token count is at most 8%"):
-        enum = enumerate_space(vit_token_patch_space())
-        assert not enum.skipped
-        points = frontier_points(enum.configs, AnnotationTable())
+        space = SweepSpace(
+            base_name="vit_small",
+            base_spec=vit_small(),
+            base_eval=EvalConfig(flop_convention=FlopConvention.FULL_COUNT),
+            axes=(
+                SweepAxis(K.RESOLUTION, (9, 11)),
+                SweepAxis(K.PATCH, (8, 12, 16, 24, 32)),
+            ),
+        )
+        skipped = []
+        annotations = AnnotationTable().by_config()
         by_tokens = {}
-        for config, point in zip(enum.configs, points):
-            n = config.eval.input_resolution
-            by_tokens.setdefault(n, []).append(point)
+        for config, report in evaluate_space(space, skipped):
+            cid = config.config_id
+            point = point_from_report(cid, report, annotations.get(cid))
+            by_tokens.setdefault(config.eval.input_resolution, []).append(point)
+        assert not skipped
         assert sorted(by_tokens) == [9, 11]
         for n, pts in by_tokens.items():
             mems = [p.total_memory_bytes for p in pts]  # patch-ordered
@@ -177,7 +188,8 @@ def test_criterion_6_residual_classifier_anchor():
             elif isinstance(layer, Linear):
                 params += layer.in_features * layer.out_features + layer.out_features
         assert params == 25_557_032
-        assert param_count(spec) == params
+        rep = cost_report(spec, EvalConfig(input_resolution=224))
+        assert sum(c.param_count for c in rep.per_layer) == params
 
         # independent matmul-only FLOP total (2 per multiply-accumulate)
         def out_side(r, k, s, p):

@@ -70,9 +70,6 @@ class TestDtypes:
 
 
 class TestTensorShape:
-    def test_element_count(self):
-        assert TensorShape((64, 112, 112)).element_count == 64 * 112 * 112
-
     def test_str_uses_x_separator(self):
         assert str(TensorShape((64, 112, 112))) == "64x112x112"
         assert str(TensorShape((196, 384))) == "196x384"
@@ -149,18 +146,6 @@ class TestViTValidation:
         )
         msgs = [v.message for v in validate_vit(spec)]
         assert any("hidden_dim 384 not divisible by num_heads 7" in m for m in msgs)
-
-    def test_from_image_size_requires_divisibility(self):
-        spec = ViTSpec.from_image_size(
-            name="v", image_side=224, patch_size=16, hidden_dim=384,
-            num_heads=6, mlp_dim=1536, depth=12,
-        )
-        assert spec.tokens_per_side == 14
-        with pytest.raises(ValueError):
-            ViTSpec.from_image_size(
-                name="v", image_side=225, patch_size=16, hidden_dim=384,
-                num_heads=6, mlp_dim=1536, depth=12,
-            )
 
     def test_nonpositive_fields(self):
         spec = ViTSpec(

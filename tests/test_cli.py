@@ -794,6 +794,68 @@ class TestUndecodableInput:
         assert not (tmp_path / "out").exists()
 
 
+class TestCountTooLarge:
+    """A count with more digits than Python may write is refused (exit 2 from
+    cost and match) or skipped (sweep), never a traceback. The interpreter's
+    limit itself stays as it is."""
+
+    BIG = 10**1100  # parses; its vit_small FLOPs have about 4400 digits
+
+    @pytest.mark.parametrize("command", ["cost", "match"])
+    def test_cost_and_match_exit_2(self, run, vit_file, command):
+        extra = ["--knob", "depth", "--target-flops", 10**9] if command == "match" else []
+        code, out, err = run(command, vit_file, "--resolution", self.BIG, *extra)
+        _assert_one_error_line(code, out, err)
+        assert code == 2
+        payload = json.loads(err)
+        assert payload["error"] == "count_too_large"
+        assert "decimal digits" in payload["message"]
+
+    def test_sweep_skips_the_config(self, run, tmp_path, caplog):
+        space = write_space(tmp_path / "s.json", "vit_small", ("N", [9, self.BIG]))
+        with caplog.at_level(logging.WARNING):
+            code, out, _ = run("sweep", space, "--out", tmp_path / "out")
+        assert code == 0
+        assert out.startswith("wrote 1 configs (1 skipped)")
+        assert [p.name for p in (tmp_path / "out" / "reports").iterdir()] == [
+            visioncost.cli._safe_filename("vit_small;N=9")
+        ]
+        skips = [r.getMessage() for r in caplog.records if "skipping" in r.getMessage()]
+        assert len(skips) == 1 and "decimal digits" in skips[0]
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert (manifest["configs"], manifest["skipped"]) == (1, 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        command=st.sampled_from(["cost", "match"]),
+        base=st.sampled_from(["vit_small", "resnet50"]),
+        convention=st.sampled_from(["closed_form", "full_count"]),
+        # any value argparse can parse: 1 to 4300 digits, uniform in length
+        knobs=st.lists(
+            st.integers(1, 4300).flatmap(lambda d: st.integers(10 ** (d - 1), 10**d - 1)),
+            min_size=2,
+            max_size=2,
+        ),
+    )
+    def test_any_parsable_resolution_and_batch(
+        self, tmp_path_factory, command, base, convention, knobs
+    ):
+        spec = tmp_path_factory.mktemp("big") / "spec.json"
+        save_spec(PRESETS[base].build(), spec)
+        resolution, batch = knobs
+        extra = ["--knob", "depth", "--target-flops", 10**12] if command == "match" else []
+        code, out, err = _sweep_quietly(
+            command, spec, "--resolution", resolution, "--batch", batch,
+            "--convention", convention, *extra,
+        )
+        assert code in (0, 2, 3)
+        if code == 0:
+            assert type(json.loads(out)["flops"]) is int
+            assert err == ""
+        else:
+            _assert_one_error_line(code, out, err)
+
+
 class TestSpaceAndAnnotationFuzz:
     """A valid space or annotation file with a few fields replaced, removed
     or added is swept, or refused with one JSON line: never a traceback."""

@@ -25,7 +25,6 @@ from visioncost.cost import (
     conv_flops,
     conv_out_side,
     cost_report,
-    param_count,
     report_to_csv,
 )
 from visioncost.presets import resnet50
@@ -199,14 +198,17 @@ class TestWalk:
             assert rep.flops == want_flops
             assert rep.peak_activation_bytes == want_peak * 4
             assert rep.model_bytes == want_params * 4
-            assert param_count(spec) == want_params
+            assert sum(c.param_count for c in rep.per_layer) == want_params
 
     def test_param_count_needs_no_feasible_resolution(self):
-        # a 5000-pixel kernel fits none of the probe resolutions (up to 4096)
+        # a 5000-pixel kernel fits none of the probe resolutions (up to 4096);
+        # the rows' parameter counts are the same at any input it does fit
         spec = stack(Conv2d(3, 8, kernel=5000), GlobalPool(), Linear(8, 10))
         with pytest.raises(InfeasibleResolution):
             cost_report(spec, EvalConfig(input_resolution=4096))
-        assert param_count(spec) == 3 * 8 * 5000**2 + 8 * 10 + 10
+        for resolution in (5000, 9000):
+            rep = cost_report(spec, EvalConfig(input_resolution=resolution))
+            assert sum(c.param_count for c in rep.per_layer) == 3 * 8 * 5000**2 + 8 * 10 + 10
 
     def test_resnet50_matches_recount_oracle(self):
         spec = resnet50()

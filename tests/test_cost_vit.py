@@ -6,15 +6,17 @@ anchor sizes; the graph-walk convention is checked op name by op name.
 """
 
 import dataclasses
+import json
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from visioncost.arch import DTYPES, EvalConfig, FlopConvention, ViTSpec
+from visioncost.arch import DTYPES, EvalConfig, FlopConvention, ViTSpec, save_spec
+from visioncost.cli import main
 from visioncost.cost import (
     cost_report,
-    param_count,
     vit_block_activation_elems_closed,
     vit_block_flops_closed,
     vit_block_params_closed,
@@ -125,6 +127,29 @@ class TestClosedForm:
 # graph-walk convention
 
 
+class TestPrintLimit:
+    def test_flops_just_under_the_limit(self, tmp_path, capsys):
+        """The largest token count whose FLOPs Python may still write costs
+        exactly; one more exits 2."""
+        limit = sys.get_int_max_str_digits()
+
+        def flops(n):
+            return 12 * oracle_block_flops(n, **SMALL)
+
+        lo, hi = 1, 10 ** (limit // 4)  # flops(lo) prints, flops(hi) does not
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if flops(mid) < 10**limit else (lo, mid)
+        spec = tmp_path / "vit_small.json"
+        save_spec(vit_small(), spec)
+        assert main(["cost", str(spec), "--resolution", str(lo)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["flops"] == flops(lo)
+        assert len(str(report["flops"])) == limit
+        assert main(["cost", str(spec), "--resolution", str(hi)]) == 2
+        assert "decimal digits" in json.loads(capsys.readouterr().err)["message"]
+
+
 def per_op(spec, n):
     rep = cost_report(
         spec, EvalConfig(input_resolution=n, flop_convention=FlopConvention.FULL_COUNT)
@@ -217,7 +242,8 @@ class TestFullCount:
         spec = vit_small()
         blocks = 12 * vit_block_params_closed(384, 1536)
         extras = 3 * 16**2 * 384 + 384 * 1000 + 25 * 2 * 384
-        assert param_count(spec) == blocks + extras
+        rep = cost_report(spec, EvalConfig(flop_convention=FlopConvention.FULL_COUNT))
+        assert sum(c.param_count for c in rep.per_layer) == blocks + extras
 
     def test_vit_base_anchor(self):
         rep = cost_report(vit_base(), EvalConfig())

@@ -1,23 +1,35 @@
 """Built-in specs: structure, registry wiring, frozen cost anchors."""
 
+import json
+
 import pytest
 
 from visioncost.arch import Conv2d, EvalConfig, FlopConvention, validate_spec
+from visioncost.cli import main
 from visioncost.cost import cost_report
 from visioncost.presets import (
     PRESETS,
-    build_preset,
     grouped_seg_backbone,
     resnet50,
     resnet50_fcr,
-    resnet50_resolution_space,
-    resnet50_width_space,
     vit_base,
-    vit_resolution_space,
     vit_small,
-    vit_token_patch_space,
 )
-from visioncost.search import enumerate_space
+from visioncost.scaling import TransformKind
+from visioncost.search import SweepAxis, SweepSpace, evaluate_space
+
+
+def evaluate(base_name, base_spec, base_eval, *axes):
+    """(space, configs, skipped) of a sweep over ``axes`` of (kind, values)."""
+    space = SweepSpace(
+        base_name=base_name,
+        base_spec=base_spec,
+        base_eval=base_eval,
+        axes=tuple(SweepAxis(kind, values) for kind, values in axes),
+    )
+    skipped = []
+    configs = [config for config, _ in evaluate_space(space, skipped)]
+    return space, configs, skipped
 
 
 class TestRegistry:
@@ -32,7 +44,7 @@ class TestRegistry:
 
     def test_every_preset_validates_clean(self):
         for name in PRESETS:
-            spec = build_preset(name)
+            spec = PRESETS[name].build()
             assert validate_spec(spec) == [], name
 
     def test_default_eval_is_costable(self):
@@ -40,9 +52,21 @@ class TestRegistry:
             rep = cost_report(entry.build(), entry.default_eval)
             assert rep.flops > 0, name
 
-    def test_unknown_name(self):
-        with pytest.raises(KeyError):
-            build_preset("resnet51")
+    def test_unknown_name(self, tmp_path, capsys):
+        space = tmp_path / "space.json"
+        space.write_text(
+            json.dumps({"base": "resnet51", "axes": [{"kind": "N", "values": [224]}]})
+        )
+        assert main(["sweep", str(space), "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["error"] == "space"
+        known = ", ".join(sorted(PRESETS))
+        assert payload["message"] == f"unknown preset 'resnet51' (known: {known})"
+        assert not (tmp_path / "out").exists()
 
 
 class TestFrozenAnchors:
@@ -68,9 +92,8 @@ class TestFrozenAnchors:
 
 class TestResnet:
     def test_param_count(self):
-        from visioncost.cost import param_count
-
-        assert param_count(resnet50()) == 25_557_032
+        rep = cost_report(resnet50())
+        assert sum(c.param_count for c in rep.per_layer) == 25_557_032
 
     def test_stage_shapes(self):
         rep = cost_report(resnet50(), EvalConfig(input_resolution=224))
@@ -137,26 +160,42 @@ class TestVit:
 
 
 class TestSpaceBuilders:
+    """Small token x patch, token, width and resolution grids over the
+    presets, evaluated whole: every combination costs."""
+
     def test_token_patch_space_enumerates_fully(self):
-        space = vit_token_patch_space()
+        space, configs, skipped = evaluate(
+            "vit_small",
+            vit_small(),
+            EvalConfig(flop_convention=FlopConvention.FULL_COUNT),
+            (TransformKind.RESOLUTION, (9, 11)),
+            (TransformKind.PATCH, (8, 12, 16, 24, 32)),
+        )
         assert space.size == 10
         assert space.base_eval.flop_convention is FlopConvention.FULL_COUNT
-        enum = enumerate_space(space)
-        assert len(enum.configs) == 10 and not enum.skipped
+        assert len(configs) == 10 and not skipped
 
     def test_resolution_space(self):
-        space = vit_resolution_space()
-        enum = enumerate_space(space)
-        assert [c.eval.input_resolution for c in enum.configs] == [8, 11, 12, 13, 14, 15]
+        _, configs, _ = evaluate(
+            "vit_small", vit_small(), EvalConfig(),
+            (TransformKind.RESOLUTION, (8, 11, 12, 13, 14, 15)),
+        )
+        assert [c.eval.input_resolution for c in configs] == [8, 11, 12, 13, 14, 15]
 
     def test_width_space_on_resnet(self):
-        enum = enumerate_space(resnet50_width_space())
-        assert [c.config_id for c in enum.configs] == [
+        _, configs, _ = evaluate(
+            "resnet50", resnet50(), EvalConfig(input_resolution=224),
+            (TransformKind.WIDTH, (1.0, 0.5, 0.25)),
+        )
+        assert [c.config_id for c in configs] == [
             "resnet50;width=1",
             "resnet50;width=0.5",
             "resnet50;width=0.25",
         ]
 
     def test_resolution_space_on_resnet(self):
-        enum = enumerate_space(resnet50_resolution_space())
-        assert len(enum.configs) == 5 and not enum.skipped
+        _, configs, skipped = evaluate(
+            "resnet50", resnet50(), EvalConfig(input_resolution=224),
+            (TransformKind.RESOLUTION, (64, 128, 160, 176, 224)),
+        )
+        assert len(configs) == 5 and not skipped

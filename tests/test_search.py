@@ -28,9 +28,9 @@ from visioncost.search import (
     best_compressed,
     enumerate_space,
     evaluate_space,
-    frontier_points,
     match_flops_budget,
     pareto_front,
+    point_from_report,
 )
 
 K = TransformKind
@@ -287,9 +287,13 @@ class TestAnnotationTable:
 class TestFrontierPoints:
     def test_reports_and_annotations_attached(self):
         space = vit_space([SweepAxis(K.RESOLUTION, (9, 14))])
-        enum = enumerate_space(space)
         table = AnnotationTable.from_rows([("vit_small;N=9", "top1", 0.71)])
-        points = frontier_points(enum.configs, table)
+        annotations = table.by_config()
+        points = [
+            point_from_report(config.config_id, report, annotations.get(config.config_id))
+            for config, report in evaluate_space(space, [])
+        ]
+        assert len(points) == 2
         assert points[0].flops == 2_702_239_704
         assert points[0].annotations == {"top1": 0.71}
         assert points[1].flops == 6_959_078_784
