@@ -54,9 +54,10 @@ from .cost import (
     report_to_json,
 )
 from .presets import PRESETS
-from .scaling import KIND_BY_KEY, TransformKind
+from .scaling import KIND_BY_KEY, ScalingTransform, TransformKind, transform_token
 from .search import (
     FRONTIER_COLUMNS,
+    MATCH_RANGES,
     AnnotationTable,
     FrontierPoint,
     NoFeasibleCandidate,
@@ -296,8 +297,18 @@ def _load_space(path: str) -> SweepSpace:
         values = axis["values"]
         if not isinstance(values, list) or not values:
             raise ValueError(f"axis {i}: 'values' must be a non-empty array")
-        _check_axis_values(i, KIND_BY_KEY[kind_key], values)
-        axes.append(SweepAxis(KIND_BY_KEY[kind_key], tuple(values)))
+        kind = KIND_BY_KEY[kind_key]
+        _check_axis_values(i, kind, values)
+        # Two values with one config-id token would write one config twice.
+        tokens: set[str] = set()
+        for value in values:
+            token = transform_token(ScalingTransform(kind, value))
+            if token in tokens:
+                raise ValueError(
+                    f"axis {i}: {kind_key} value {value!r} repeats an earlier value ({token})"
+                )
+            tokens.add(token)
+        axes.append(SweepAxis(kind, tuple(values)))
     kwargs: dict[str, Any] = {}
     if "cap" in data:
         kwargs["cap"] = checked_int(data["cap"], "space file: cap")
@@ -509,12 +520,7 @@ def _cmd_sweep(args: argparse.Namespace, argv: Sequence[str]) -> int:
 # match
 
 
-_KNOB_CHOICES = {
-    "depth": TransformKind.DEPTH,
-    "hidden": TransformKind.HIDDEN,
-    "mlp": TransformKind.MLP,
-    "resolution": TransformKind.RESOLUTION,
-}
+_KNOB_CHOICES = {k.name.lower(): k for k in MATCH_RANGES}
 
 
 def _cmd_match(args: argparse.Namespace) -> int:

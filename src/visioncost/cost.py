@@ -286,8 +286,11 @@ def vit_block_params_closed(hidden_dim: int, mlp_dim: int) -> int:
     return hidden_dim * (4 * hidden_dim + 2 * mlp_dim)
 
 
-def vit_cost_closed(spec: ViTSpec, cfg: EvalConfig) -> CostReport:
-    """Closed-form block-body report: embedding and classifier excluded."""
+def vit_cost_closed(
+    spec: ViTSpec, cfg: EvalConfig
+) -> tuple[tuple[LayerCost, ...], int, int, int]:
+    """Closed-form block-body costs, embedding and classifier excluded:
+    ``(per_layer, flops, peak_activation_bytes, param_count)``."""
     n = cfg.resolution_for(spec)
     b = cfg.batch_size
     e = cfg.dtype.bytes_per_element
@@ -306,29 +309,18 @@ def vit_cost_closed(spec: ViTSpec, cfg: EvalConfig) -> CostReport:
         )
         for i in range(spec.depth)
     )
-    flops = b * block_flops * spec.depth
     peak = block_act * b * e if spec.depth > 0 else 0
-    model = block_params * spec.depth * e
-    return CostReport(
-        spec_name=spec.name,
-        convention=FlopConvention.CLOSED_FORM,
-        batch_size=b,
-        dtype_name=cfg.dtype.name,
-        bytes_per_element=e,
-        resolution=n,
-        flops=flops,
-        peak_activation_bytes=peak,
-        model_bytes=model,
-        total_memory_bytes=model + peak,
-        per_layer=per_layer,
-    )
+    return per_layer, b * block_flops * spec.depth, peak, block_params * spec.depth
 
 
 _LAYER_NORM_FLOPS_PER_ELEM = 5
 
 
-def vit_cost_full(spec: ViTSpec, cfg: EvalConfig) -> CostReport:
-    """Walk every transformer operator, embedding and classifier included.
+def vit_cost_full(
+    spec: ViTSpec, cfg: EvalConfig
+) -> tuple[tuple[LayerCost, ...], int, int, int]:
+    """Walk every transformer operator, embedding and classifier included:
+    ``(per_layer, flops, peak_activation_bytes, param_count)``.
 
     Linear operators carry no bias terms, matching the closed-form parameter
     formula; the score matrix is materialized, so the activation footprint
@@ -398,21 +390,9 @@ def vit_cost_full(spec: ViTSpec, cfg: EvalConfig) -> CostReport:
     per_layer = tuple([LayerCost._make((i, *op)) for i, op in enumerate(ops)])
 
     flops = sum(op[2] for op in edges) + depth * sum(op[2] for op in block)
-    model = (sum(op[4] for op in edges) + depth * sum(op[4] for op in block)) * e
+    params = sum(op[4] for op in edges) + depth * sum(op[4] for op in block)
     peak = max(op[3] for op in (edges + block if depth else edges))
-    return CostReport(
-        spec_name=spec.name,
-        convention=FlopConvention.FULL_COUNT,
-        batch_size=b,
-        dtype_name=cfg.dtype.name,
-        bytes_per_element=e,
-        resolution=n,
-        flops=flops,
-        peak_activation_bytes=peak,
-        model_bytes=model,
-        total_memory_bytes=model + peak,
-        per_layer=per_layer,
-    )
+    return per_layer, flops, peak, params
 
 
 def cost_report(spec: ArchSpec, cfg: EvalConfig | None = None) -> CostReport:
@@ -423,27 +403,29 @@ def cost_report(spec: ArchSpec, cfg: EvalConfig | None = None) -> CostReport:
     cfg = cfg or EvalConfig()
     if isinstance(spec, ViTSpec):
         if cfg.flop_convention is FlopConvention.FULL_COUNT:
-            report = vit_cost_full(spec, cfg)
+            per_layer, flops, peak, params = vit_cost_full(spec, cfg)
         else:
-            report = vit_cost_closed(spec, cfg)
+            per_layer, flops, peak, params = vit_cost_closed(spec, cfg)
     else:
         per_layer = tuple(_cnn_walk(spec, cfg))
         flops = sum(c.flops for c in per_layer)
         peak = max((c.activation_bytes for c in per_layer), default=0)
-        model = sum(c.param_count for c in per_layer) * cfg.dtype.bytes_per_element
-        report = CostReport(
-            spec_name=spec.name,
-            convention=cfg.flop_convention,
-            batch_size=cfg.batch_size,
-            dtype_name=cfg.dtype.name,
-            bytes_per_element=cfg.dtype.bytes_per_element,
-            resolution=cfg.resolution_for(spec),
-            flops=flops,
-            peak_activation_bytes=peak,
-            model_bytes=model,
-            total_memory_bytes=model + peak,
-            per_layer=per_layer,
-        )
+        params = sum(c.param_count for c in per_layer)
+    e = cfg.dtype.bytes_per_element
+    model = params * e
+    report = CostReport(
+        spec_name=spec.name,
+        convention=cfg.flop_convention,
+        batch_size=cfg.batch_size,
+        dtype_name=cfg.dtype.name,
+        bytes_per_element=e,
+        resolution=cfg.resolution_for(spec),
+        flops=flops,
+        peak_activation_bytes=peak,
+        model_bytes=model,
+        total_memory_bytes=model + peak,
+        per_layer=per_layer,
+    )
     _check_printable(report)
     return report
 

@@ -32,15 +32,34 @@ _BOTTLENECK_EXPANSION = 4
 
 
 def _bottleneck(
-    layers: list[CnnLayer], block_input: int, in_ch: int, width: int, stride: int
+    layers: list[CnnLayer],
+    block_input: int,
+    in_ch: int,
+    width: int,
+    out_ch: int,
+    stride: int,
+    groups: int = 1,
+    dilation: int = 1,
 ) -> int:
-    """Append one bottleneck block; returns the index of its output layer."""
-    out_ch = width * _BOTTLENECK_EXPANSION
+    """Append one bottleneck block (He et al. 2016, arXiv:1512.03385): 1x1
+    to ``width``, a 3x3 (grouped and dilated, as in Yu et al., arXiv:1705.09914)
+    and 1x1 to ``out_ch``, with a projection shortcut when the stride or the
+    channel count changes. Returns the index of the block's output layer."""
     project = stride != 1 or in_ch != out_ch
     layers.append(Conv2d(in_ch, width, kernel=1))
     layers.append(BatchNorm(width))
     layers.append(Activation())
-    layers.append(Conv2d(width, width, kernel=3, stride=stride, padding=1))
+    layers.append(
+        Conv2d(
+            width,
+            width,
+            kernel=3,
+            stride=stride,
+            padding=dilation,
+            groups=groups,
+            dilation=dilation,
+        )
+    )
     layers.append(BatchNorm(width))
     layers.append(Activation())
     layers.append(Conv2d(width, out_ch, kernel=1))
@@ -68,9 +87,10 @@ def _resnet50_layers(num_classes: int, resize_after_stem: int | None) -> tuple[C
     prev = len(layers) - 1
     in_ch = 64
     for blocks, width, first_stride in _RESNET50_STAGES:
+        out_ch = width * _BOTTLENECK_EXPANSION
         for b in range(blocks):
-            prev = _bottleneck(layers, prev, in_ch, width, first_stride if b == 0 else 1)
-            in_ch = width * _BOTTLENECK_EXPANSION
+            prev = _bottleneck(layers, prev, in_ch, width, out_ch, first_stride if b == 0 else 1)
+            in_ch = out_ch
     layers.append(GlobalPool())
     layers.append(Linear(in_ch, num_classes))
     return tuple(layers)
@@ -125,24 +145,20 @@ def vit_base(tokens_per_side: int = 14, patch_size: int = 16) -> ViTSpec:
     )
 
 
-def grouped_seg_backbone(
-    group_width: int = 16,
-    dilations: tuple[int, ...] = (1, 1, 2, 4),
-    stages: tuple[tuple[int, int, int], ...] = ((1, 4, 2), (2, 8, 2), (4, 16, 2), (1, 16, 1)),
-) -> CnnSpec:
-    """Dilated grouped-conv segmentation backbone.
+# (num_blocks, groups, first_stride, dilation) per stage of the backbone.
+_SEG_BACKBONE_STAGES = ((1, 4, 2, 1), (2, 8, 2, 1), (4, 16, 2, 2), (1, 16, 1, 4))
+_SEG_GROUP_WIDTH = 16
 
-    ``stages`` is a tuple of (num_blocks, groups, first_stride); each stage
-    runs at ``groups * group_width`` channels and its grouped 3x3 convs use
-    the matching entry of ``dilations``. The stem is a stride-2 3x3 conv at
-    ``2 * group_width`` channels, so every channel count in the spec scales
-    exactly with the group width.
+
+def grouped_seg_backbone() -> CnnSpec:
+    """Dilated grouped-conv segmentation backbone, group width 16.
+
+    Each stage of ``_SEG_BACKBONE_STAGES`` runs at ``groups * 16`` channels,
+    and its grouped 3x3 convs use the stage's dilation. The stem is a
+    stride-2 3x3 conv at 32 channels, so every channel count in the spec
+    scales exactly with the group width (the ``gw`` transform).
     """
-    if group_width < 1:
-        raise ValueError("group_width must be >= 1")
-    if len(dilations) != len(stages):
-        raise ValueError("need one dilation per stage")
-    stem_ch = 2 * group_width
+    stem_ch = 2 * _SEG_GROUP_WIDTH
     layers: list[CnnLayer] = [
         Conv2d(3, stem_ch, kernel=3, stride=2, padding=1),
         BatchNorm(stem_ch),
@@ -150,49 +166,19 @@ def grouped_seg_backbone(
     ]
     prev = len(layers) - 1
     in_ch = stem_ch
-    for (blocks, groups, first_stride), dilation in zip(stages, dilations):
-        ch = groups * group_width
+    for blocks, groups, first_stride, dilation in _SEG_BACKBONE_STAGES:
+        ch = groups * _SEG_GROUP_WIDTH
         for b in range(blocks):
             stride = first_stride if b == 0 else 1
-            project = stride != 1 or in_ch != ch
-            layers.append(Conv2d(in_ch, ch, kernel=1))
-            layers.append(BatchNorm(ch))
-            layers.append(Activation())
-            layers.append(
-                Conv2d(
-                    ch,
-                    ch,
-                    kernel=3,
-                    stride=stride,
-                    padding=dilation,
-                    groups=groups,
-                    dilation=dilation,
-                )
-            )
-            layers.append(BatchNorm(ch))
-            layers.append(Activation())
-            layers.append(Conv2d(ch, ch, kernel=1))
-            layers.append(BatchNorm(ch))
-            main_end = len(layers) - 1
-            if project:
-                layers.append(
-                    Conv2d(in_ch, ch, kernel=1, stride=stride, input_layer_index=prev)
-                )
-                layers.append(BatchNorm(ch))
-                layers.append(ResidualAdd(source_layer_index=main_end))
-            else:
-                layers.append(ResidualAdd(source_layer_index=prev))
-            layers.append(Activation())
-            prev = len(layers) - 1
+            prev = _bottleneck(layers, prev, in_ch, ch, ch, stride, groups, dilation)
             in_ch = ch
     return CnnSpec(
-        name=f"seg_backbone_gw{group_width}", input_channels=3, layers=tuple(layers)
+        name=f"seg_backbone_gw{_SEG_GROUP_WIDTH}", input_channels=3, layers=tuple(layers)
     )
 
 
 @dataclass(frozen=True)
 class PresetEntry:
-    name: str
     build: Callable[[], ArchSpec]
     default_eval: EvalConfig
     summary: str
@@ -200,31 +186,26 @@ class PresetEntry:
 
 PRESETS: dict[str, PresetEntry] = {
     "resnet50": PresetEntry(
-        "resnet50",
         resnet50,
         EvalConfig(input_resolution=224),
         "50-layer bottleneck residual classifier",
     ),
     "resnet50_fcr112": PresetEntry(
-        "resnet50_fcr112",
         lambda: resnet50_fcr(112),
         EvalConfig(input_resolution=224),
         "resnet50 with stem output resized to the 112-input feature size",
     ),
     "vit_small": PresetEntry(
-        "vit_small",
         vit_small,
         EvalConfig(input_resolution=14),
         "384-wide 12-block transformer, 16px patches",
     ),
     "vit_base": PresetEntry(
-        "vit_base",
         vit_base,
         EvalConfig(input_resolution=14),
         "768-wide 12-block transformer, 16px patches",
     ),
     "seg_backbone_gw16": PresetEntry(
-        "seg_backbone_gw16",
         grouped_seg_backbone,
         EvalConfig(input_resolution=768),
         "dilated grouped-conv segmentation backbone, group width 16",

@@ -257,9 +257,7 @@ def apply_transform(
     if kind is TransformKind.BATCH:
         return spec, batch_scale(cfg, int(t.parameter))
     if kind is TransformKind.DTYPE:
-        param = t.parameter
-        dtype = param if isinstance(param, DTypeDesc) else dtype_from_name(str(param))
-        return spec, dtype_scale(cfg, dtype)
+        return spec, dtype_scale(cfg, _dtype_of(t.parameter))
     raise ScalingError(f"unknown transform kind {kind!r}")
 
 
@@ -301,16 +299,20 @@ def _format_number(v: object) -> str:
     return repr(f)
 
 
-def _encode_one(t: ScalingTransform) -> str:
+def _dtype_of(param: object) -> DTypeDesc:
+    return param if isinstance(param, DTypeDesc) else dtype_from_name(str(param))
+
+
+def transform_token(t: ScalingTransform) -> str:
+    """The transform's ``key=value`` token in a config id; a dtype is written
+    by its canonical (lower-case) name."""
     if t.kind is TransformKind.DTYPE:
-        param = t.parameter
-        name = param.name if isinstance(param, DTypeDesc) else str(param)
-        return f"dtype={name}"
+        return f"dtype={_dtype_of(t.parameter).name}"
     return f"{t.kind.value}={_format_number(t.parameter)}"
 
 
 def config_id_of(base_name: str, chain: Iterable[ScalingTransform]) -> str:
-    return ";".join([base_name, *map(_encode_one, chain)])
+    return ";".join([base_name, *map(transform_token, chain)])
 
 
 # Sweep axis and config id keys.

@@ -281,6 +281,14 @@ def _scan_front(keyed: list[tuple[tuple, FrontierPoint]]) -> list[FrontierPoint]
 ANNOTATION_HEADER = ("config_id", "metric", "value")
 
 
+def _ascii_float(text: str) -> float:
+    """``float(text)`` without the non-ASCII digits and ``_`` separators that
+    ``float`` also accepts."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"{text!r} is not a number")
+    return float(text)
+
+
 @dataclass
 class AnnotationTable:
     """(config id, metric) -> value table, typically loaded from CSV."""
@@ -332,7 +340,7 @@ class AnnotationTable:
                     f"{first_line[key]} and line {lineno}"
                 )
             try:
-                value = float(raw)
+                value = _ascii_float(raw)
             except ValueError:
                 raise ValueError(f"line {lineno}: value {raw!r} is not a number") from None
             if not math.isfinite(value):
@@ -396,16 +404,18 @@ def read_frontier_csv(path: str | Path) -> tuple[list[FrontierPoint], list[str]]
             raise ValueError(
                 f"line {lineno}: expected {len(header)} columns, got {len(row)}"
             )
+        config_id, *counts = row[: len(FRONTIER_COLUMNS)]
+        # int() would also take a sign, spaces, "_" and non-ASCII digits.
+        bad = [c for c in counts if not (c.isascii() and c.isdigit())]
+        if bad:
+            raise ValueError(f"line {lineno}: cost {bad[0]!r} is not a decimal count")
         try:
             annotations = {
-                m: float(cell)
+                m: _ascii_float(cell)
                 for m, cell in zip(metrics, row[len(FRONTIER_COLUMNS) :])
                 if cell != ""
             }
-            config_id, flops, peak, model, total = row[: len(FRONTIER_COLUMNS)]
-            point = FrontierPoint(
-                config_id, int(flops), int(peak), int(model), int(total), annotations
-            )
+            point = FrontierPoint(config_id, *map(int, counts), annotations)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
         if not all(map(math.isfinite, annotations.values())):
@@ -439,7 +449,7 @@ class MatchResult:
     bracket: tuple[ScaledConfig, ScaledConfig] | None
 
 
-_DEFAULT_RANGES: dict[TransformKind, tuple[int, int]] = {
+MATCH_RANGES: dict[TransformKind, tuple[int, int]] = {
     TransformKind.DEPTH: (1, 256),
     TransformKind.HIDDEN: (1, 8192),
     TransformKind.MLP: (1, 32768),
@@ -473,11 +483,11 @@ def match_flops_budget(
     the target is attached. ``relaxed_value`` is the interpolated continuous
     knob value that would hit the target exactly.
     """
-    if knob not in _DEFAULT_RANGES:
+    if knob not in MATCH_RANGES:
         raise ValueError(f"knob {knob.value!r} is not supported for budget matching")
     if target_flops < 1:
         raise ValueError(f"target FLOPs must be >= 1, got {target_flops}")
-    lo, hi = value_range if value_range is not None else _DEFAULT_RANGES[knob]
+    lo, hi = value_range if value_range is not None else MATCH_RANGES[knob]
     step = _knob_step(base_spec, knob)
     lo = max(lo, step)
     lo = ((lo + step - 1) // step) * step

@@ -677,6 +677,43 @@ class TestSweep:
 
 
     @pytest.mark.parametrize(
+        "base, kind, values, repeated",
+        [
+            ("vit_small", "N", [9, 9], "9"),
+            ("resnet50", "width", [1, 0.5, 1.0], "1.0"),
+            ("vit_small", "dtype", ["FP16", "fp16"], "'fp16'"),
+        ],
+        ids=["int", "width-int-and-float", "dtype-case"],
+    )
+    def test_repeated_axis_value_rejected(self, run, tmp_path, base, kind, values, repeated):
+        # Both values have one config-id token: the run would write one
+        # config twice, and its second report over the first.
+        space = write_space(tmp_path / "s.json", base, ("batch", [1]), (kind, values))
+        code, out, err = run("sweep", space, "--out", tmp_path / "out")
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "space"
+        assert payload["message"].startswith(f"axis 1: {kind} value {repeated} repeats")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["7_0.5", "\u0667\u0660"], ids=["underscore", "arabic-indic"])
+    def test_loose_annotation_value_rejected(self, run, tmp_path, space_file, value):
+        ann = tmp_path / "ann.csv"
+        ann.write_text(
+            f"config_id,metric,value\nvit_small;N=9;patch=8,top1,70\n"
+            f"vit_small;N=9;patch=16,top1,{value}\n", encoding="utf-8"
+        )
+        code, out, err = run("sweep", space_file, "--out", tmp_path / "out", "--annotations", ann)
+        assert code == 2
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "annotations"
+        assert payload["message"] == f"line 3: value {value!r} is not a number"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
         "metric", ["flops", "config_id", "total_memory_bytes", "", " ", '"a\nb"'],
         ids=["flops", "config_id", "total_memory_bytes", "empty", "blank", "quoted-newline"],
     )
@@ -824,6 +861,44 @@ class TestCountTooLarge:
         assert len(skips) == 1 and "decimal digits" in skips[0]
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert (manifest["configs"], manifest["skipped"]) == (1, 1)
+
+    def test_hidden_axis_past_the_limit_is_skipped(self, run, tmp_path, caplog):
+        # hidden 10**2200: its FLOPs (a hidden**2 term) have about 4400 digits
+        space = write_space(tmp_path / "s.json", "vit_small", ("hidden", [10**2200]))
+        with caplog.at_level(logging.WARNING):
+            code, out, err = run("sweep", space, "--out", tmp_path / "out")
+        assert code == 3
+        assert out == ""
+        assert json.loads(err.splitlines()[-1])["error"] == "infeasible"
+        skips = [r.getMessage() for r in caplog.records if "skipping" in r.getMessage()]
+        assert len(skips) == 1 and "decimal digits" in skips[0]
+
+    def test_n_axis_writes_the_config_that_prints(self, run, tmp_path):
+        space = write_space(tmp_path / "s.json", "vit_small", ("N", [self.BIG, 9]))
+        code, out, _ = run("sweep", space, "--out", tmp_path / "out")
+        assert code == 0
+        assert out.startswith("wrote 1 configs (1 skipped)")
+        rows = list(csv.reader(io.StringIO((tmp_path / "out" / "frontier.csv").read_text())))
+        assert [row[0] for row in rows[1:]] == ["vit_small;N=9"]
+
+    def test_match_batch_past_the_limit(self, run, vit_file):
+        code, out, err = run(
+            "match", vit_file, "--knob", "depth", "--target-flops", 10**9, "--batch", 10**4290
+        )
+        _assert_one_error_line(code, out, err)
+        assert code == 2
+        assert json.loads(err)["error"] == "count_too_large"
+
+    def test_match_target_of_4300_digits(self, run, vit_file):
+        target = int("9" * 4300)  # the longest integer argparse may read
+        code, out, err = run("match", vit_file, "--knob", "depth", "--target-flops", target)
+        _assert_one_error_line(code, out, err)
+        assert code == 3
+        payload = json.loads(err)
+        assert payload["error"] == "target_unreachable"
+        assert payload["target"] == target
+        low, high = payload["attainable"]
+        assert low < high < target
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -1076,6 +1151,32 @@ class TestBest:
         payload = json.loads(err)
         assert payload["error"] == "frontier"
         assert fragment in payload["message"]
+
+    @pytest.mark.parametrize(
+        "column, cell",
+        [
+            (1, "1_000"), (1, "\u0661\u0662"), (1, "-3"), (2, " 5"), (4, "+5"),
+            (5, "7_0.5"), (5, "\u0667\u0660"),
+        ],
+        ids=["underscore", "arabic-indic", "negative", "space", "plus",
+             "metric-underscore", "metric-arabic-indic"],
+    )
+    def test_loose_number_in_frontier_rejected(self, run, sweep_dir, column, cell):
+        # int() and float() take all of these; a count cell holds ASCII
+        # digits only, a metric cell no "_" and no non-ASCII text.
+        frontier = sweep_dir / "frontier.csv"
+        rows = list(csv.reader(io.StringIO(frontier.read_text())))
+        row = ["vit_small;N=5", "1", "1", "1", "1", "70"]
+        row[column] = cell
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(rows + [row])
+        frontier.write_text(buf.getvalue(), encoding="utf-8")
+        code, out, err = run("best", sweep_dir, "--metric", "top1", "--max-drop", "5")
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "frontier"
+        assert payload["message"].startswith(f"line {len(rows) + 1}: ")
 
     def test_config_id_with_line_break(self, run, tmp_path):
         save_spec(dataclasses.replace(vit_small(), name="a\nb"), tmp_path / "net.json")

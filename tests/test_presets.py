@@ -131,7 +131,7 @@ class TestResnet:
 
 class TestSegBackbone:
     def test_grouped_convs_and_dilations(self):
-        spec = grouped_seg_backbone(group_width=16, dilations=(1, 1, 2, 4))
+        spec = grouped_seg_backbone()
         grouped = [l for l in spec.layers if isinstance(l, Conv2d) and l.groups > 1]
         assert grouped, "expected grouped convolutions"
         assert {l.in_ch // l.groups for l in grouped} == {16}
@@ -141,7 +141,7 @@ class TestSegBackbone:
             assert l.padding == l.dilation
 
     def test_stem_is_twice_group_width(self):
-        spec = grouped_seg_backbone(group_width=16)
+        spec = grouped_seg_backbone()
         first = spec.layers[0]
         assert isinstance(first, Conv2d)
         assert first.out_ch == 32

@@ -135,7 +135,7 @@ class TestWidth:
 
 class TestGroupWidth:
     def test_halving_group_width_is_exact(self):
-        spec = grouped_seg_backbone(group_width=16)
+        spec = grouped_seg_backbone()
         out = arch_apply(spec, ScalingTransform(K.GROUP_WIDTH, 8))
         grouped = [l for l in out.layers if isinstance(l, Conv2d) and l.groups > 1]
         assert grouped
@@ -163,7 +163,7 @@ class TestGroupWidth:
     def test_seg_backbone_rescales_integrally_at_any_group_width(self):
         # stems are twice the group width, stage widths are group multiples,
         # so every integer target keeps the channel chain integral
-        spec = grouped_seg_backbone(group_width=16)
+        spec = grouped_seg_backbone()
         for gw in (1, 3, 5, 8, 24):
             out = arch_apply(spec, ScalingTransform(K.GROUP_WIDTH, gw))
             assert validate_spec(out) == []
@@ -263,6 +263,7 @@ class TestConfigId:
         assert config_id_of("b", [ScalingTransform(K.HIDDEN, 192)]) == "b;hidden=192"
         assert config_id_of("b", [ScalingTransform(K.GROUP_WIDTH, 8)]) == "b;gw=8"
         assert config_id_of("b", []) == "b"
+        assert config_id_of("b", [ScalingTransform(K.DTYPE, "FP16")]) == "b;dtype=fp16"
 
     def test_integral_floats_print_as_ints(self):
         assert config_id_of("b", [ScalingTransform(K.WIDTH, 1.0)]) == "b;width=1"
@@ -297,6 +298,12 @@ class TestConfigId:
         assert rep.flops == cost_report(direct, EvalConfig(input_resolution=9)).flops
 
 
+# Dtype names in any letter case: a config id writes the canonical one.
+DTYPE_NAMES = st.sampled_from(["fp64", "fp32", "fp16", "bf16", "int8"]).flatmap(
+    lambda name: st.sampled_from([name, name.upper(), name.capitalize()])
+)
+
+
 @st.composite
 def vit_chains(draw):
     chain = []
@@ -309,9 +316,7 @@ def vit_chains(draw):
     if draw(st.booleans()):
         chain.append(ScalingTransform(K.RESOLUTION, draw(st.integers(1, 32))))
     if draw(st.booleans()):
-        chain.append(
-            ScalingTransform(K.DTYPE, draw(st.sampled_from(["fp64", "fp32", "fp16", "bf16", "int8"])))
-        )
+        chain.append(ScalingTransform(K.DTYPE, draw(DTYPE_NAMES)))
     if draw(st.booleans()):
         chain.append(ScalingTransform(K.BATCH, draw(st.integers(1, 64))))
     return chain
@@ -325,9 +330,7 @@ def cnn_chains(draw):
     if draw(st.booleans()):
         chain.append(ScalingTransform(K.RESOLUTION, draw(st.integers(32, 512))))
     if draw(st.booleans()):
-        chain.append(
-            ScalingTransform(K.DTYPE, draw(st.sampled_from(["fp64", "fp32", "fp16", "bf16", "int8"])))
-        )
+        chain.append(ScalingTransform(K.DTYPE, draw(DTYPE_NAMES)))
     return chain
 
 
