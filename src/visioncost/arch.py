@@ -175,10 +175,6 @@ class ViTSpec:
     input_channels: int = 3
     num_classes: int = 1000
 
-    @property
-    def image_side(self) -> int:
-        return self.tokens_per_side * self.patch_size
-
 
 ArchSpec = Union[CnnSpec, ViTSpec]
 

@@ -595,9 +595,6 @@ def _cmd_best(args: argparse.Namespace) -> int:
             "metric",
             f"frontier has no metric column {args.metric!r} (has: {metrics})",
         )
-    table = AnnotationTable.from_rows(
-        (p.config_id, m, v) for p in points for m, v in p.annotations.items()
-    )
     baseline = args.baseline
     if baseline is None:
         annotated = [p for p in points if args.metric in p.annotations]
@@ -612,7 +609,6 @@ def _cmd_best(args: argparse.Namespace) -> int:
     try:
         choice = best_compressed(
             points,
-            table,
             metric=args.metric,
             max_drop=args.max_drop,
             objective=_OBJECTIVE_ALIASES[args.objective],

@@ -170,34 +170,6 @@ def group_width_scale(spec: CnnSpec, group_width: int) -> CnnSpec:
         ) from None
 
 
-def hidden_scale(spec: ViTSpec, new_hidden: int) -> ViTSpec:
-    """Keep the head count; round the hidden size half up to a multiple of it,
-    in exact integers."""
-    if new_hidden < 1:
-        raise ScalingError(f"hidden size must be >= 1, got {new_hidden}")
-    k = spec.num_heads
-    return replace(spec, hidden_dim=max(k, k * ((2 * new_hidden + k) // (2 * k))))
-
-
-def mlp_scale(spec: ViTSpec, new_mlp: int) -> ViTSpec:
-    if new_mlp < 1:
-        raise ScalingError(f"mlp size must be >= 1, got {new_mlp}")
-    return replace(spec, mlp_dim=new_mlp)
-
-
-def depth_scale(spec: ViTSpec, new_depth: int) -> ViTSpec:
-    if new_depth < 1:
-        raise ScalingError(f"depth must be >= 1, got {new_depth}")
-    return replace(spec, depth=new_depth)
-
-
-def patch_scale(spec: ViTSpec, new_patch: int) -> ViTSpec:
-    """Keep the token grid; the implied image side grows or shrinks."""
-    if new_patch < 1:
-        raise ScalingError(f"patch size must be >= 1, got {new_patch}")
-    return replace(spec, patch_size=new_patch)
-
-
 # --------------------------------------------------------------------------
 # Evaluation transforms: the spec is untouched.
 
@@ -210,24 +182,39 @@ def resolution_scale(cfg: EvalConfig, new_resolution: int) -> EvalConfig:
     return replace(cfg, input_resolution=new_resolution)
 
 
-def dtype_scale(cfg: EvalConfig, dtype: DTypeDesc) -> EvalConfig:
-    return replace(cfg, dtype=dtype)
-
-
-def batch_scale(cfg: EvalConfig, batch_size: int) -> EvalConfig:
-    if batch_size < 1:
-        raise ScalingError(f"batch size must be >= 1, got {batch_size}")
-    return replace(cfg, batch_size=batch_size)
-
-
 # --------------------------------------------------------------------------
 # Transform application and canonical ids.
+
+
+# The knobs that set one field: kind -> (noun in messages, the spec type the
+# knob applies to or None for the eval config, field).
+_FIELD_KNOBS: dict[TransformKind, tuple[str, type | None, str]] = {
+    TransformKind.HIDDEN: ("hidden size", ViTSpec, "hidden_dim"),
+    TransformKind.MLP: ("mlp size", ViTSpec, "mlp_dim"),
+    TransformKind.DEPTH: ("depth", ViTSpec, "depth"),
+    TransformKind.PATCH: ("patch size", ViTSpec, "patch_size"),
+    TransformKind.BATCH: ("batch size", None, "batch_size"),
+}
 
 
 def apply_transform(
     spec: ArchSpec, cfg: EvalConfig, t: ScalingTransform
 ) -> tuple[ArchSpec, EvalConfig]:
     kind = t.kind
+    if kind in _FIELD_KNOBS:
+        noun, spec_type, name = _FIELD_KNOBS[kind]
+        if spec_type is not None and not isinstance(spec, spec_type):
+            raise ScalingError(f"{noun} applies to transformer specs")
+        value = int(t.parameter)
+        if value < 1:
+            raise ScalingError(f"{noun} must be >= 1, got {value}")
+        if kind is TransformKind.HIDDEN:
+            # Keep the head count: round half up to a multiple of it, exactly.
+            k = spec.num_heads
+            value = max(k, k * ((2 * value + k) // (2 * k)))
+        if spec_type is None:
+            return spec, replace(cfg, **{name: value})
+        return replace(spec, **{name: value}), cfg
     if kind is TransformKind.WIDTH:
         if not isinstance(spec, CnnSpec):
             raise ScalingError("width applies to conv specs")
@@ -236,28 +223,10 @@ def apply_transform(
         if not isinstance(spec, CnnSpec):
             raise ScalingError("group width applies to conv specs")
         return group_width_scale(spec, int(t.parameter)), cfg
-    if kind is TransformKind.HIDDEN:
-        if not isinstance(spec, ViTSpec):
-            raise ScalingError("hidden size applies to transformer specs")
-        return hidden_scale(spec, int(t.parameter)), cfg
-    if kind is TransformKind.MLP:
-        if not isinstance(spec, ViTSpec):
-            raise ScalingError("mlp size applies to transformer specs")
-        return mlp_scale(spec, int(t.parameter)), cfg
-    if kind is TransformKind.DEPTH:
-        if not isinstance(spec, ViTSpec):
-            raise ScalingError("depth applies to transformer specs")
-        return depth_scale(spec, int(t.parameter)), cfg
-    if kind is TransformKind.PATCH:
-        if not isinstance(spec, ViTSpec):
-            raise ScalingError("patch size applies to transformer specs")
-        return patch_scale(spec, int(t.parameter)), cfg
     if kind is TransformKind.RESOLUTION:
         return spec, resolution_scale(cfg, int(t.parameter))
-    if kind is TransformKind.BATCH:
-        return spec, batch_scale(cfg, int(t.parameter))
     if kind is TransformKind.DTYPE:
-        return spec, dtype_scale(cfg, _dtype_of(t.parameter))
+        return spec, replace(cfg, dtype=_dtype_of(t.parameter))
     raise ScalingError(f"unknown transform kind {kind!r}")
 
 

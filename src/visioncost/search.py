@@ -6,8 +6,9 @@ axis slowest), applying each transform once per prefix of the axes,
 costing each combination once and skipping -- and
 recording -- those the transforms or the cost walk reject. Evaluated
 configurations become ``FrontierPoint`` rows that flow into the Pareto
-filter, the FLOPs budget matcher, and annotation-driven selection of the
-cheapest acceptable configuration.
+filter over (FLOPs, total memory), the FLOPs budget matcher, and the
+selection of the cheapest configuration whose accuracy annotation, carried
+on the point itself, stays within a drop of the baseline's.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby, product
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .arch import ArchSpec, EvalConfig, ViTSpec
 from .cost import (
@@ -91,6 +92,12 @@ class EnumeratedSweep:
     skipped: tuple[SkippedConfig, ...]
 
 
+def _cut(text: str) -> str:
+    """``text``, or its first 199 characters and an ellipsis when longer
+    than 200: a skip line stays short however large an axis value is."""
+    return text if len(text) <= 200 else text[:199] + "\u2026"
+
+
 def evaluate_space(
     space: SweepSpace, skipped: list[SkippedConfig]
 ) -> Iterator[tuple[ScaledConfig, CostReport]]:
@@ -106,8 +113,9 @@ def evaluate_space(
     A combination that a transform or the cost walk rejects (a CNN
     resolution too small for a window, one a flattening classifier does
     not fit, or a total too long to write) is appended to ``skipped`` and
-    logged once; a transform that rejects a prefix skips every combination
-    under it, in product order.
+    logged once, its values and reason each cut to 200 characters; a
+    transform that rejects a prefix skips every combination under it, in
+    product order.
     SpaceTooLarge is raised here, before anything is costed.
     """
     if space.size > space.cap:
@@ -117,8 +125,9 @@ def evaluate_space(
     axes = space.axes
 
     def skip(combo: tuple, exc: Exception) -> None:
-        skipped.append(SkippedConfig(values=combo, reason=str(exc)))
-        logger.warning("skipping %s: %s", combo, exc)
+        reason = str(exc)
+        skipped.append(SkippedConfig(values=combo, reason=reason))
+        logger.warning("skipping %s: %s", _cut(repr(combo)), _cut(reason))
 
     def walk(
         level: int, spec: ArchSpec, cfg: EvalConfig, combo: tuple, chain: tuple
@@ -168,12 +177,6 @@ class FrontierPoint:
     total_memory_bytes: int
     annotations: Mapping[str, float] = field(default_factory=dict)
 
-    def objective_value(self, key: str) -> int | float:
-        """The native value: an exact int for a cost total, else the annotation."""
-        if key in ("flops", "peak_activation_bytes", "model_bytes", "total_memory_bytes"):
-            return getattr(self, key)
-        return self.annotations[key]
-
 
 def point_from_report(
     config_id: str, report: CostReport, annotations: Mapping[str, float] | None = None
@@ -188,89 +191,35 @@ def point_from_report(
     )
 
 
-DEFAULT_OBJECTIVES: tuple[tuple[str, str], ...] = (
-    ("flops", "min"),
-    ("total_memory_bytes", "min"),
-)
+def pareto_front(points: Sequence[FrontierPoint]) -> list[FrontierPoint]:
+    """Non-dominated subset under (flops, total_memory_bytes), both minimized.
 
-
-def pareto_front(
-    points: Sequence[FrontierPoint],
-    objectives: Sequence[tuple[str, str]] = DEFAULT_OBJECTIVES,
-) -> list[FrontierPoint]:
-    """Non-dominated subset under the given (key, "min"|"max") objectives.
-
-    Dominance is non-strict on every objective with at least one strict
-    improvement; points with identical objective vectors are all kept.
+    Dominance is non-strict on both objectives with at least one strict
+    improvement; points with identical objective pairs are all kept.
     Duplicate config ids collapse to their first occurrence, the result is
     ordered by config id, and the filter is idempotent.
 
-    Objectives are compared as native Python values ("max" ones negated),
-    so int totals stay exact at any size and mix exactly with annotation
-    floats. A NaN objective raises ``ValueError``. With one or two
-    objectives the filter is a sort and a sweep, O(n log n) (Kung, Luccio &
-    Preparata, J. ACM 1975); with three or more it scans the sorted points
-    against the front found so far, O(n * front size), whose worst case is
-    an anti-correlated input where every point is on the front.
+    Both objectives are exact ints, so the filter is exact at any size: a
+    sort and a sweep, O(n log n) (Kung, Luccio & Preparata, J. ACM 1975).
+    Within a group of equal FLOPs the leading members hold the group's
+    least memory; they survive only when it is strictly below every
+    cheaper group's.
     """
     if not points:
         raise ValueError("pareto_front needs at least one point")
-    if not objectives:
-        raise ValueError("pareto_front needs at least one objective")
-    for _, direction in objectives:
-        if direction not in ("min", "max"):
-            raise ValueError(f"objective direction must be 'min' or 'max', got {direction!r}")
     seen: dict[str, FrontierPoint] = {}
     for p in points:
         seen.setdefault(p.config_id, p)
-    keyed: list[tuple[tuple, FrontierPoint]] = []
-    for p in seen.values():
-        vector = tuple(
-            p.objective_value(key) if direction == "min" else -p.objective_value(key)
-            for key, direction in objectives
-        )
-        if any(v != v for v in vector):
-            raise ValueError(f"config {p.config_id} has a NaN objective")
-        keyed.append((vector, p))
-    keyed.sort(key=lambda item: item[0])
-    kept = _sweep_front(keyed) if len(objectives) <= 2 else _scan_front(keyed)
-    return sorted(kept, key=lambda p: p.config_id)
-
-
-def _sweep_front(keyed: list[tuple[tuple, FrontierPoint]]) -> list[FrontierPoint]:
-    """Front of lexicographically sorted 1- or 2-objective vectors.
-
-    Within a group of equal first objective the leading members hold the
-    group's least last objective; they survive only when it is strictly
-    below every earlier group's. With one objective the last is the first,
-    so only the least group survives.
-    """
+    ordered = sorted(seen.values(), key=lambda p: (p.flops, p.total_memory_bytes))
     kept: list[FrontierPoint] = []
     best = None
-    for _, group in groupby(keyed, key=lambda item: item[0][0]):
+    for _, group in groupby(ordered, key=lambda p: p.flops):
         members = list(group)
-        least = members[0][0][-1]
+        least = members[0].total_memory_bytes
         if best is None or least < best:
             best = least
-            kept.extend(p for vector, p in members if vector[-1] == least)
-    return kept
-
-
-def _scan_front(keyed: list[tuple[tuple, FrontierPoint]]) -> list[FrontierPoint]:
-    """Front of lexicographically sorted vectors of any length.
-
-    A dominating vector sorts before the one it dominates, and dominance is
-    transitive, so a point is dominated exactly when a front point found
-    before it dominates it.
-    """
-    front: list[tuple[tuple, FrontierPoint]] = []
-    for vector, p in keyed:
-        if not any(
-            other != vector and all(a <= b for a, b in zip(other, vector))
-            for other, _ in front
-        ):
-            front.append((vector, p))
-    return [p for _, p in front]
+            kept.extend(p for p in members if p.total_memory_bytes == least)
+    return sorted(kept, key=lambda p: p.config_id)
 
 
 # --------------------------------------------------------------------------
@@ -294,13 +243,6 @@ class AnnotationTable:
     """(config id, metric) -> value table, typically loaded from CSV."""
 
     values: dict[tuple[str, str], float] = field(default_factory=dict)
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[tuple[str, str, float]]) -> "AnnotationTable":
-        table = cls()
-        for cid, metric, value in rows:
-            table.values[(cid, metric)] = float(value)
-        return table
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "AnnotationTable":
@@ -349,9 +291,6 @@ class AnnotationTable:
             table.values[key] = value
         return table
 
-    def get(self, config_id: str, metric: str) -> float | None:
-        return self.values.get((config_id, metric))
-
     def for_config(self, config_id: str) -> dict[str, float]:
         return dict(
             sorted((m, value) for (cid, m), value in self.values.items() if cid == config_id)
@@ -395,6 +334,7 @@ def read_frontier_csv(path: str | Path) -> tuple[list[FrontierPoint], list[str]]
         raise ValueError(f"line 1: duplicate column {repeated[0]!r}")
     metrics = list(header[len(FRONTIER_COLUMNS) :])
     points: list[FrontierPoint] = []
+    first_line: dict[str, int] = {}
     last = reader.line_num
     for row in reader:
         lineno, last = last + 1, reader.line_num  # the row's first line
@@ -405,6 +345,12 @@ def read_frontier_csv(path: str | Path) -> tuple[list[FrontierPoint], list[str]]
                 f"line {lineno}: expected {len(header)} columns, got {len(row)}"
             )
         config_id, *counts = row[: len(FRONTIER_COLUMNS)]
+        if config_id in first_line:
+            raise ValueError(
+                f"duplicate config id {config_id!r} on line "
+                f"{first_line[config_id]} and line {lineno}"
+            )
+        first_line[config_id] = lineno
         # int() would also take a sign, spaces, "_" and non-ASCII digits.
         bad = [c for c in counts if not (c.isascii() and c.isdigit())]
         if bad:
@@ -602,30 +548,27 @@ class NoFeasibleCandidate(ValueError):
 
 def best_compressed(
     points: Sequence[FrontierPoint],
-    table: AnnotationTable,
     metric: str,
     max_drop: float,
-    objective: str = "flops",
-    baseline_id: str | None = None,
+    objective: str,
+    baseline_id: str,
 ) -> FrontierPoint:
-    """Cheapest point whose metric is within ``max_drop`` of the baseline's.
+    """Cheapest point by the ``objective`` cost column whose metric is within
+    ``max_drop`` of the baseline's.
 
     Points without an annotation for the metric are excluded (with a
     warning). Ties on the objective resolve by config id.
     """
-    if max_drop < 0:
-        raise ValueError(f"max_drop must be >= 0, got {max_drop}")
-    if baseline_id is None:
-        raise ValueError("baseline_id is required")
-    baseline_value = table.get(baseline_id, metric)
+    baseline = next((p for p in points if p.config_id == baseline_id), None)
+    baseline_value = None if baseline is None else baseline.annotations.get(metric)
     if baseline_value is None:
         raise NoFeasibleCandidate(
             f"baseline {baseline_id!r} has no annotation for metric {metric!r}"
         )
     floor_value = baseline_value - max_drop
-    feasible: list[tuple[int | float, str, FrontierPoint]] = []
+    feasible: list[FrontierPoint] = []
     for p in points:
-        value = table.get(p.config_id, metric)
+        value = p.annotations.get(metric)
         if value is None:
             logger.warning(
                 "config %s has no %r annotation; excluded from selection",
@@ -634,11 +577,10 @@ def best_compressed(
             )
             continue
         if value >= floor_value:
-            feasible.append((p.objective_value(objective), p.config_id, p))
+            feasible.append(p)
     if not feasible:
         raise NoFeasibleCandidate(
             f"no candidate keeps {metric} within {max_drop} of baseline "
             f"{baseline_id!r} ({baseline_value})"
         )
-    feasible.sort(key=lambda item: (item[0], item[1]))
-    return feasible[0][2]
+    return min(feasible, key=lambda p: (getattr(p, objective), p.config_id))

@@ -219,12 +219,9 @@ def test_criterion_7_dominance_filter_equals_brute_force():
     with criterion(7, "non-dominated filtering equals an O(n^2) brute-force scan "
                       "on 1000 random point sets and is idempotent"):
         rng = np.random.default_rng(7)
-        objectives2 = (("flops", "min"), ("total_memory_bytes", "min"))
-        objectives3 = objectives2 + (("model_bytes", "min"),)
-        for trial in range(1000):
-            m = 2 if trial % 2 == 0 else 3
+        for _ in range(1000):
             n = int(rng.integers(1, 301))
-            vals = rng.integers(0, 60, size=(n, m)).astype(np.int64)
+            vals = rng.integers(0, 60, size=(n, 2)).astype(np.int64)
             if n > 2:  # exact duplicates must survive together
                 vals[rng.integers(0, n, n // 4)] = vals[rng.integers(0, n, n // 4)]
             points = [
@@ -232,7 +229,7 @@ def test_criterion_7_dominance_filter_equals_brute_force():
                     config_id=f"p{i:03d}",
                     flops=int(v[0]),
                     peak_activation_bytes=1,
-                    model_bytes=int(v[2]) if m == 3 else 1,
+                    model_bytes=1,
                     total_memory_bytes=int(v[1]),
                     annotations={},
                 )
@@ -244,10 +241,10 @@ def test_criterion_7_dominance_filter_equals_brute_force():
             dominated = (le & lt).any(axis=1)
             want = sorted(p.config_id for p, d in zip(points, dominated) if not d)
 
-            front = pareto_front(points, objectives=objectives2 if m == 2 else objectives3)
+            front = pareto_front(points)
             got = [p.config_id for p in front]
             assert got == want
-            again = pareto_front(front, objectives=objectives2 if m == 2 else objectives3)
+            again = pareto_front(front)
             assert again == front
 
 
@@ -315,7 +312,6 @@ def test_criterion_10_selection_equals_filter_then_minimize():
         for max_drop in drops:
             n = rng.randrange(2, 25)
             points = []
-            rows = []
             for i in range(n):
                 p = FrontierPoint(
                     config_id=f"c{i:02d}",
@@ -328,13 +324,12 @@ def test_criterion_10_selection_equals_filter_then_minimize():
                 if rng.random() < 0.9:
                     metric = round(rng.uniform(70.0, 80.0), 2)
                     p.annotations["top1"] = metric
-                    rows.append((p.config_id, "top1", metric))
                 points.append(p)
-            if not rows:
+            annotated = [p for p in points if "top1" in p.annotations]
+            if not annotated:
                 continue
-            table = AnnotationTable.from_rows(rows)
-            baseline = rng.choice([cid for cid, _, _ in rows])
-            base_val = table.get(baseline, "top1")
+            base = rng.choice(annotated)
+            baseline, base_val = base.config_id, base.annotations["top1"]
             feasible = [
                 p for p in points
                 if "top1" in p.annotations and p.annotations["top1"] >= base_val - max_drop
@@ -342,14 +337,14 @@ def test_criterion_10_selection_equals_filter_then_minimize():
             if feasible:
                 want = min(feasible, key=lambda p: (p.flops, p.config_id)).config_id
                 got = best_compressed(
-                    points, table, metric="top1", max_drop=max_drop,
+                    points, metric="top1", max_drop=max_drop,
                     objective="flops", baseline_id=baseline,
                 )
                 assert got.config_id == want
             else:
                 with pytest.raises(NoFeasibleCandidate):
                     best_compressed(
-                        points, table, metric="top1", max_drop=max_drop,
+                        points, metric="top1", max_drop=max_drop,
                         objective="flops", baseline_id=baseline,
                     )
 

@@ -137,7 +137,6 @@ class TestViTValidation:
             mlp_dim=1536, depth=12, tokens_per_side=14,
         )
         assert validate_vit(spec) == []
-        assert spec.image_side == 224
 
     def test_head_divisibility(self):
         spec = ViTSpec(

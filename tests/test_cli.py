@@ -1138,8 +1138,15 @@ class TestBest:
                 "config_id,flops,peak_activation_bytes,model_bytes,total_memory_bytes,top1,top1\n",
                 "line 1: duplicate column 'top1'",
             ),
+            # Read as one config, b could pass a budget on one row's top1
+            # and be reported with the other's.
+            (
+                True,
+                "a,10,1,1,2,0.9\nb,1,1,1,2,0.1\nb,1,1,1,2,0.85\n",
+                "duplicate config id 'b' on line 3 and line 4",
+            ),
         ],
-        ids=["short_row", "empty_file", "huge_cell", "duplicate_column"],
+        ids=["short_row", "empty_file", "huge_cell", "duplicate_column", "repeated_config_id"],
     )
     def test_malformed_frontier_is_one_error(self, run, sweep_dir, keep_header, rows, fragment):
         frontier = sweep_dir / "frontier.csv"

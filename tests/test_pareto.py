@@ -6,24 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from visioncost.search import AnnotationTable, FrontierPoint, best_compressed, pareto_front
-
-KEYS = ("flops", "total_memory_bytes", "model_bytes", "peak_activation_bytes")
-
-
-def objectives(m):
-    return tuple((key, "min") for key in KEYS[:m])
+from visioncost.search import FrontierPoint, best_compressed, pareto_front
 
 
 def points_of(vectors, annotations=None):
-    """Point i takes vectors[i] as its first len(vectors[i]) cost totals."""
-    points = []
-    for i, v in enumerate(vectors):
-        totals = dict.fromkeys(KEYS, 0)
-        totals.update(zip(KEYS, v))
-        ann = annotations[i] if annotations is not None else {}
-        points.append(FrontierPoint(config_id=f"p{i:05d}", annotations=ann, **totals))
-    return points
+    """Point i takes vectors[i] as its (flops, total_memory_bytes)."""
+    return [
+        FrontierPoint(
+            config_id=f"p{i:05d}",
+            flops=flops,
+            peak_activation_bytes=0,
+            model_bytes=0,
+            total_memory_bytes=memory,
+            annotations=annotations[i] if annotations is not None else {},
+        )
+        for i, (flops, memory) in enumerate(vectors)
+    ]
 
 
 def brute_force_ids(vectors):
@@ -37,11 +35,11 @@ def brute_force_ids(vectors):
 
 
 def front_ids(vectors):
-    return [p.config_id for p in pareto_front(points_of(vectors), objectives(len(vectors[0])))]
+    return [p.config_id for p in pareto_front(points_of(vectors))]
 
 
-def random_vectors(rng, n, m, dup_fraction=0.3):
-    vectors = [tuple(rng.randrange(50) for _ in range(m)) for _ in range(n)]
+def random_vectors(rng, n, dup_fraction=0.3):
+    vectors = [(rng.randrange(50), rng.randrange(50)) for _ in range(n)]
     for _ in range(int(n * dup_fraction)):
         vectors[rng.randrange(n)] = vectors[rng.randrange(n)]  # exact ties
     return vectors
@@ -51,54 +49,31 @@ NEAR_ZERO_OR_2_60 = st.one_of(st.integers(-20, 20), st.integers(2**60 - 20, 2**6
 
 
 class TestAgainstBruteForce:
-    @pytest.mark.parametrize("m", [1, 2, 3, 4])
-    def test_random_sets_with_ties(self, m):
-        rng = random.Random(101 + m)
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_random_sets_with_ties(self, seed):
+        rng = random.Random(101 + seed)
         for _ in range(25):
-            vectors = random_vectors(rng, rng.randrange(1, 120), m)
-            front = pareto_front(points_of(vectors), objectives(m))
+            vectors = random_vectors(rng, rng.randrange(1, 120))
+            front = pareto_front(points_of(vectors))
             assert [p.config_id for p in front] == brute_force_ids(vectors)
-            assert pareto_front(front, objectives(m)) == front
+            assert pareto_front(front) == front
 
     @settings(max_examples=200, deadline=None)
-    @given(
-        st.integers(1, 4).flatmap(
-            lambda m: st.lists(st.tuples(*[NEAR_ZERO_OR_2_60] * m), min_size=1, max_size=40)
-        )
-    )
+    @given(st.lists(st.tuples(NEAR_ZERO_OR_2_60, NEAR_ZERO_OR_2_60), min_size=1, max_size=40))
     def test_property_near_zero_and_2_60(self, vectors):
         assert front_ids(vectors) == brute_force_ids(vectors)
 
 
 class TestExactness:
-    @pytest.mark.parametrize("m", [2, 3])
-    def test_neighbours_above_2_53_are_told_apart(self, m):
+    def test_neighbours_above_2_53_are_told_apart(self):
         # float64 rounds 2**60 + 1 to 2**60, which would keep both points
-        vectors = [(2**60 + 1,) + (5,) * (m - 1), (2**60,) + (5,) * (m - 1)]
-        assert front_ids(vectors) == ["p00001"]
+        assert front_ids([(2**60 + 1, 5), (2**60, 5)]) == ["p00001"]
+        assert front_ids([(5, 2**60), (5, 2**60 + 1)]) == ["p00000"]
 
     def test_best_compressed_compares_exact_flops(self):
-        points = points_of([(2**60 + 1, 5), (2**60, 5)])
-        table = AnnotationTable.from_rows((p.config_id, "top1", 0.5) for p in points)
-        choice = best_compressed(points, table, "top1", 0.0, baseline_id="p00000")
+        points = points_of([(2**60 + 1, 5), (2**60, 5)], [{"top1": 0.5}] * 2)
+        choice = best_compressed(points, "top1", 0.0, "flops", baseline_id="p00000")
         assert choice.config_id == "p00001"
-
-    @pytest.mark.parametrize("m", [2, 3])
-    def test_max_direction_with_float_annotations(self, m):
-        rng = random.Random(7 + m)
-        for _ in range(20):
-            n = rng.randrange(1, 80)
-            costs = random_vectors(rng, n, m - 1)
-            top1 = [rng.choice([0.5, 0.7, 0.1 + 0.2, 0.3, 0.9]) for _ in range(n)]
-            points = points_of(costs, [{"top1": t} for t in top1])
-            objs = objectives(m - 1) + (("top1", "max"),)
-            got = [p.config_id for p in pareto_front(points, objs)]
-            assert got == brute_force_ids([c + (-t,) for c, t in zip(costs, top1)])
-
-    def test_nan_objective_rejected(self):
-        points = points_of([(1, 1), (2, 2)], [{"top1": 0.5}, {"top1": float("nan")}])
-        with pytest.raises(ValueError, match="NaN"):
-            pareto_front(points, (("flops", "min"), ("top1", "max")))
 
     def test_anti_correlated_2d_keeps_every_point(self):
         n = 20_000

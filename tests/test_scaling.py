@@ -255,6 +255,39 @@ class TestEvalKnobs:
         assert cfg.eval.batch_size == 8
 
 
+class TestKnobMessages:
+    @pytest.mark.parametrize(
+        "base, kind, value, message",
+        [
+            *[
+                (vit_small, kind, 0, f"{noun} must be >= 1, got 0")
+                for kind, noun in [
+                    (K.HIDDEN, "hidden size"),
+                    (K.MLP, "mlp size"),
+                    (K.DEPTH, "depth"),
+                    (K.PATCH, "patch size"),
+                    (K.BATCH, "batch size"),
+                ]
+            ],
+            *[
+                (resnet50, kind, 64, f"{noun} applies to transformer specs")
+                for kind, noun in [
+                    (K.HIDDEN, "hidden size"),
+                    (K.MLP, "mlp size"),
+                    (K.DEPTH, "depth"),
+                    (K.PATCH, "patch size"),
+                ]
+            ],
+            (vit_small, K.WIDTH, 0.5, "width applies to conv specs"),
+            (vit_small, K.GROUP_WIDTH, 8, "group width applies to conv specs"),
+        ],
+    )
+    def test_exact_error_text(self, base, kind, value, message):
+        with pytest.raises(ScalingError) as exc:
+            apply_transform(base(), EvalConfig(), ScalingTransform(kind, value))
+        assert str(exc.value) == message
+
+
 class TestConfigId:
     def test_exact_strings(self):
         assert config_id_of("base", [ScalingTransform(K.WIDTH, 0.5)]) == "base;width=0.5"
