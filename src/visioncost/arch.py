@@ -409,6 +409,11 @@ _LAYER_TAGS: dict[type, str] = {
     Linear: "linear",
 }
 _TAG_TO_LAYER = {tag: cls for cls, tag in _LAYER_TAGS.items()}
+# Field name -> annotation (a string here) of each spec class, in
+# definition order, built once.
+_FIELD_TYPES: dict[type, dict[str, str]] = {
+    cls: {f.name: f.type for f in fields(cls)} for cls in (*_LAYER_TAGS, ViTSpec, CnnSpec)
+}
 
 
 def checked_int(value: Any, field: str) -> int:
@@ -422,20 +427,20 @@ def _check_types(cls: type, values: dict[str, Any], where: str) -> None:
     """Check the values given for ``cls``'s ``int``, ``int | None`` and
     ``bool`` fields (annotations are strings here); missing keys are left
     to the constructor."""
-    for f in fields(cls):
-        if f.name not in values:
+    for name, kind in _FIELD_TYPES[cls].items():
+        if name not in values:
             continue
-        value = values[f.name]
-        if f.type == "int" or (f.type == "int | None" and value is not None):
-            checked_int(value, where + f.name)
-        elif f.type == "bool" and not isinstance(value, bool):
-            raise ValueError(f"{where}{f.name} must be true or false, got {json.dumps(value)}")
+        value = values[name]
+        if kind == "int" or (kind == "int | None" and value is not None):
+            checked_int(value, where + name)
+        elif kind == "bool" and not isinstance(value, bool):
+            raise ValueError(f"{where}{name} must be true or false, got {json.dumps(value)}")
 
 
 def _layer_to_dict(layer: CnnLayer) -> dict[str, Any]:
     d: dict[str, Any] = {"type": _LAYER_TAGS[type(layer)]}
-    for f in fields(layer):
-        d[f.name] = getattr(layer, f.name)
+    for name in _FIELD_TYPES[type(layer)]:
+        d[name] = getattr(layer, name)
     return d
 
 
@@ -447,8 +452,7 @@ def _layer_from_dict(i: int, d: dict[str, Any]) -> CnnLayer:
     if not isinstance(tag, str) or tag not in _TAG_TO_LAYER:
         raise ValueError(f"layer {i}: unknown layer type {tag!r}")
     cls = _TAG_TO_LAYER[tag]
-    allowed = {f.name for f in fields(cls)}
-    unknown = set(work) - allowed
+    unknown = work.keys() - _FIELD_TYPES[cls].keys()
     if unknown:
         raise ValueError(f"layer {i}: unknown key(s) {sorted(unknown)} for {tag}")
     _check_types(cls, work, f"layer {i}: ")
@@ -461,8 +465,8 @@ def _layer_from_dict(i: int, d: dict[str, Any]) -> CnnLayer:
 def spec_to_dict(spec: ArchSpec) -> dict[str, Any]:
     if isinstance(spec, ViTSpec):
         d: dict[str, Any] = {"kind": "vit"}
-        for f in fields(spec):
-            d[f.name] = getattr(spec, f.name)
+        for name in _FIELD_TYPES[ViTSpec]:
+            d[name] = getattr(spec, name)
         return d
     d = {"kind": "cnn", "name": spec.name, "input_channels": spec.input_channels}
     d["layers"] = [_layer_to_dict(layer) for layer in spec.layers]
@@ -475,8 +479,7 @@ def spec_from_dict(d: dict[str, Any]) -> ArchSpec:
     kind = d.get("kind")
     if kind == "vit":
         work = {k: v for k, v in d.items() if k != "kind"}
-        allowed = {f.name for f in fields(ViTSpec)}
-        unknown = set(work) - allowed
+        unknown = work.keys() - _FIELD_TYPES[ViTSpec].keys()
         if unknown:
             raise ValueError(f"unknown key(s) {sorted(unknown)} for vit spec")
         _check_types(ViTSpec, work, "")

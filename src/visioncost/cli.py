@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -616,6 +617,8 @@ def _cmd_best(args: argparse.Namespace) -> int:
         )
     except NoFeasibleCandidate as exc:
         raise CliError(EXIT_INFEASIBLE, "no_feasible_candidate", str(exc)) from None
+    except ValueError as exc:  # a baseline that names no row
+        raise CliError(EXIT_VALIDATION, "baseline", str(exc), path=str(frontier)) from None
     payload = {
         "config_id": choice.config_id,
         "flops": choice.flops,
@@ -656,7 +659,10 @@ def _cmd_presets(args: argparse.Namespace) -> int:
 # entry point
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The one parser of the process, built on first use: building it costs
+    more than parsing a short command. ``parse_args`` keeps no state in it."""
     parser = _Parser(
         prog="visioncost",
         description="FLOPs/memory cost reports and scaling-tradeoff search "

@@ -496,33 +496,46 @@ def report_to_dict(report: CostReport) -> dict[str, Any]:
     return out
 
 
-# One per_layer row of report_to_dict, as compact JSON.
+# One per_layer row of report_to_dict, as compact JSON and as JSON indented
+# by 2 at the depth of a row; the ``%s`` fields take encoded strings.
 _ROW_JSON = (
     '{"layer_index":%d,"name":%s,"out_shape":%s,'
     '"flops":%d,"activation_bytes":%d,"param_count":%d}'
 )
+_ROW_JSON_INDENTED = (
+    '    {\n      "layer_index": %d,\n      "name": %s,\n      "out_shape": %s,\n'
+    '      "flops": %d,\n      "activation_bytes": %d,\n      "param_count": %d\n    }'
+)
 
 
 def report_to_json(report: CostReport, indent: int | None = 2) -> str:
-    """``report_to_dict`` as JSON text, indented by ``indent`` spaces.
+    """``report_to_dict`` as JSON text: compact with ``indent=None``, else
+    indented by 2 spaces, the only two layouts served.
 
-    With ``indent=None`` the text is compact, equal to ``json.dumps`` of the
-    dict with ``separators=(",", ":")``: the header goes through
-    ``json.dumps`` and each layer row through one ``%`` template (every
-    count an int, strings escaped by the encoder's own ASCII escaper), so
-    no per-row dict is built.
+    The text equals ``json.dumps`` of the dict, with ``separators=(",",
+    ":")`` or ``indent=2``: the header goes through ``json.dumps`` and each
+    layer row through one ``%`` template (every count an int, strings
+    escaped by the encoder's own ASCII escaper), so no per-row dict is built.
     """
-    if indent is not None:
-        return json.dumps(report_to_dict(report), indent=indent)
+    header = _report_header(report)
+    if indent is None:
+        head = json.dumps(header, separators=(",", ":"))[:-1]  # up to the "}"
+        row, sep, open_rows, close = _ROW_JSON, ",", ',"per_layer":[', "]}"
+    elif indent == 2:
+        head = json.dumps(header, indent=2)[:-2]  # up to the "\n}"
+        row, sep, open_rows, close = _ROW_JSON_INDENTED, ",\n", ',\n  "per_layer": [\n', "\n  ]\n}"
+    else:
+        raise ValueError(f"indent must be None or 2, got {indent!r}")
+    if not report.per_layer:  # json.dumps writes an empty list as [] in either layout
+        return f"{head}{open_rows.rstrip()}{close.lstrip()}"
     enc = encode_basestring_ascii
-    rows = ",".join([
-        _ROW_JSON % (i, enc(name), enc(shape), flops, act, params)
+    rows = sep.join([
+        row % (i, enc(name), enc(shape), flops, act, params)
         for (i, name, _, flops, act, params), shape in zip(
             report.per_layer, _shape_text(report)
         )
     ])
-    header = json.dumps(_report_header(report), separators=(",", ":"))
-    return f'{header[:-1]},"per_layer":[{rows}]}}'
+    return f"{head}{open_rows}{rows}{close}"
 
 
 CSV_HEADER = ("layer_index", "name", "out_shape", "flops", "activation_bytes", "param_count")

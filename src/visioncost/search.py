@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby, product
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .arch import ArchSpec, EvalConfig, ViTSpec
 from .cost import (
@@ -168,14 +168,13 @@ def enumerate_space(space: SweepSpace) -> EnumeratedSweep:
 # Frontier points and the Pareto filter.
 
 
-@dataclass(frozen=True)
-class FrontierPoint:
+class FrontierPoint(NamedTuple):
     config_id: str
     flops: int
     peak_activation_bytes: int
     model_bytes: int
     total_memory_bytes: int
-    annotations: Mapping[str, float] = field(default_factory=dict)
+    annotations: Mapping[str, float]
 
 
 def point_from_report(
@@ -332,19 +331,20 @@ def read_frontier_csv(path: str | Path) -> tuple[list[FrontierPoint], list[str]]
     repeated = [name for name, count in Counter(header).items() if count > 1]
     if repeated:
         raise ValueError(f"line 1: duplicate column {repeated[0]!r}")
-    metrics = list(header[len(FRONTIER_COLUMNS) :])
+    metrics = header[len(FRONTIER_COLUMNS) :]
+    width = len(header)
     points: list[FrontierPoint] = []
     first_line: dict[str, int] = {}
     last = reader.line_num
+    # One plain pass per row, checks in a fixed order: the column count, the
+    # id, each count cell, each metric cell, the counts' size, finiteness.
     for row in reader:
         lineno, last = last + 1, reader.line_num  # the row's first line
         if not row:
             continue
-        if len(row) != len(header):
-            raise ValueError(
-                f"line {lineno}: expected {len(header)} columns, got {len(row)}"
-            )
-        config_id, *counts = row[: len(FRONTIER_COLUMNS)]
+        if len(row) != width:
+            raise ValueError(f"line {lineno}: expected {width} columns, got {len(row)}")
+        config_id = row[0]
         if config_id in first_line:
             raise ValueError(
                 f"duplicate config id {config_id!r} on line "
@@ -352,21 +352,25 @@ def read_frontier_csv(path: str | Path) -> tuple[list[FrontierPoint], list[str]]
             )
         first_line[config_id] = lineno
         # int() would also take a sign, spaces, "_" and non-ASCII digits.
-        bad = [c for c in counts if not (c.isascii() and c.isdigit())]
-        if bad:
-            raise ValueError(f"line {lineno}: cost {bad[0]!r} is not a decimal count")
+        for cell in row[1:5]:
+            if not (cell.isascii() and cell.isdigit()):
+                raise ValueError(f"line {lineno}: cost {cell!r} is not a decimal count")
+        annotations = {}
         try:
-            annotations = {
-                m: _ascii_float(cell)
-                for m, cell in zip(metrics, row[len(FRONTIER_COLUMNS) :])
-                if cell != ""
-            }
-            point = FrontierPoint(config_id, *map(int, counts), annotations)
+            for metric, cell in zip(metrics, row[5:]):
+                if cell:
+                    annotations[metric] = _ascii_float(cell)
+            # int() raises past the interpreter's digit limit.
+            points.append(
+                FrontierPoint(
+                    config_id, int(row[1]), int(row[2]), int(row[3]), int(row[4]), annotations
+                )
+            )
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-        if not all(map(math.isfinite, annotations.values())):
-            raise ValueError(f"line {lineno}: metric values must be finite")
-        points.append(point)
+        for value in annotations.values():
+            if not math.isfinite(value):
+                raise ValueError(f"line {lineno}: metric values must be finite")
     return points, metrics
 
 
@@ -557,10 +561,14 @@ def best_compressed(
     ``max_drop`` of the baseline's.
 
     Points without an annotation for the metric are excluded (with a
-    warning). Ties on the objective resolve by config id.
+    warning). Ties on the objective resolve by config id. A ``baseline_id``
+    that names no point raises ValueError; a baseline without the metric,
+    NoFeasibleCandidate.
     """
     baseline = next((p for p in points if p.config_id == baseline_id), None)
-    baseline_value = None if baseline is None else baseline.annotations.get(metric)
+    if baseline is None:
+        raise ValueError(f"baseline {baseline_id!r} is not a config of the frontier")
+    baseline_value = baseline.annotations.get(metric)
     if baseline_value is None:
         raise NoFeasibleCandidate(
             f"baseline {baseline_id!r} has no annotation for metric {metric!r}"

@@ -1185,6 +1185,95 @@ class TestBest:
         assert payload["error"] == "frontier"
         assert payload["message"].startswith(f"line {len(rows) + 1}: ")
 
+    @pytest.mark.parametrize(
+        "metrics, rows, message",
+        [
+            ("top1", "a,1,1,1,1,70\nb,1\n", "line 3: expected 6 columns, got 2"),
+            ("top1", "a,1,1,1,1,70\n\nb,1\n", "line 4: expected 6 columns, got 2"),
+            (
+                "top1",
+                "a,1,1,1,1,70\nb,1,1,1,1,70\na,2,2,2,2,71\n",
+                "duplicate config id 'a' on line 2 and line 4",
+            ),
+            ("top1", "a,1.5,1,1,1,70\n", "line 2: cost '1.5' is not a decimal count"),
+            ("top1", "a,1,-3,1,1,70\n", "line 2: cost '-3' is not a decimal count"),
+            ("top1", "a,1,1, 5,1,70\n", "line 2: cost ' 5' is not a decimal count"),
+            ("top1", "a,1,1,1,,70\n", "line 2: cost '' is not a decimal count"),
+            ("top1", "a,1,1,1,1,abc\n", "line 2: could not convert string to float: 'abc'"),
+            ("top1", "a,1,1,1,1,٧٠\n", "line 2: '٧٠' is not a number"),
+            ("top1", "a,1,1,1,1,inf\n", "line 2: metric values must be finite"),
+            ("top1", "a,-3,1,1,1,nan\n", "line 2: cost '-3' is not a decimal count"),
+            ("top1", "a,1,1,1,1,70\na,-3,1,1\n", "line 3: expected 6 columns, got 4"),
+            (
+                "top1,top5",
+                "a,1,1,1,1,nan,abc\n",
+                "line 2: could not convert string to float: 'abc'",
+            ),
+            (
+                "top1",
+                '"x\ny",1,1,1,1,70\nc,1,1,x,1,70\n',
+                "line 4: cost 'x' is not a decimal count",
+            ),
+        ],
+        ids=[
+            "short_row", "short_row_after_blank_line", "repeated_config_id", "bad_flops",
+            "bad_peak_activation_bytes", "bad_model_bytes", "empty_total_memory_bytes",
+            "metric_not_a_number", "metric_not_ascii", "metric_not_finite",
+            "bad_count_and_nan", "repeated_id_and_short_row", "nan_then_bad_metric",
+            "after_multi_line_config_id",
+        ],
+    )
+    def test_frontier_error_messages(self, run, tmp_path, metrics, rows, message):
+        frontier = tmp_path / "frontier.csv"
+        frontier.write_text(
+            "config_id,flops,peak_activation_bytes,model_bytes,total_memory_bytes,"
+            f"{metrics}\n{rows}",
+            encoding="utf-8",
+        )
+        code, out, err = run("best", tmp_path, "--metric", "top1", "--max-drop", "1")
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "frontier", "message": message, "path": str(frontier)}
+
+    def test_count_too_long_to_read_names_its_line(self, run, tmp_path):
+        digits = "1" * 5000
+        with pytest.raises(ValueError) as limit:
+            int(digits)
+        frontier = tmp_path / "frontier.csv"
+        frontier.write_text(
+            "config_id,flops,peak_activation_bytes,model_bytes,total_memory_bytes,top1\n"
+            f"a,1,1,1,1,70\nb,{digits},1,1,1,abc\nc,{digits},1,1,1,70\n"
+        )
+        code, _, err = run("best", tmp_path, "--metric", "top1", "--max-drop", "1")
+        assert code == 2
+        # Row b: its metric fault is reported before its count's.
+        assert json.loads(err)["message"] == "line 3: could not convert string to float: 'abc'"
+        frontier.write_text(frontier.read_text().replace("abc", "70"))
+        code, _, err = run("best", tmp_path, "--metric", "top1", "--max-drop", "1")
+        assert code == 2
+        assert json.loads(err)["message"] == f"line 3: {limit.value}"
+
+    def test_unknown_baseline_is_a_validation_error(self, run, sweep_dir):
+        code, out, err = run(
+            "best", sweep_dir, "--metric", "top1", "--max-drop", "1", "--baseline", "nope"
+        )
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "baseline",
+            "message": "baseline 'nope' is not a config of the frontier",
+            "path": str(sweep_dir / "frontier.csv"),
+        }
+
+    def test_unannotated_baseline_is_infeasible(self, run, sweep_dir):
+        code, out, err = run(
+            "best", sweep_dir, "--metric", "top1", "--max-drop", "1",
+            "--baseline", "vit_small;N=11;patch=8",
+        )
+        assert (code, out) == (3, "")
+        assert json.loads(err) == {
+            "error": "no_feasible_candidate",
+            "message": "baseline 'vit_small;N=11;patch=8' has no annotation for metric 'top1'",
+        }
+
     def test_config_id_with_line_break(self, run, tmp_path):
         save_spec(dataclasses.replace(vit_small(), name="a\nb"), tmp_path / "net.json")
         space = tmp_path / "space.json"
@@ -1211,6 +1300,39 @@ class TestBest:
     def test_missing_dir(self, run, tmp_path):
         code, _, err = run("best", tmp_path / "nowhere", "--metric", "m", "--max-drop", 1)
         assert code == 1
+
+
+class TestSharedParser:
+    """``main`` parses every call with one parser; no call leaks into the next."""
+
+    def test_one_parser_per_process(self):
+        assert visioncost.cli.build_parser() is visioncost.cli.build_parser()
+
+    def test_annotations_do_not_carry_over(self, run, tmp_path, space_file, annotations_file):
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run("sweep", space_file, "--out", first, "--annotations", annotations_file)[0] == 0
+        assert run("sweep", space_file, "--out", second)[0] == 0
+        header = (second / "frontier.csv").read_text().splitlines()[0]
+        assert header == "config_id,flops,peak_activation_bytes,model_bytes,total_memory_bytes"
+        assert "--annotations" not in (second / "manifest.json").read_text()
+
+    def test_usage_error_then_valid_command(self, run, vit_file):
+        assert run("cost", vit_file, "--bogus")[0] == 64
+        assert run("cost", vit_file, "--batch", "0")[0] == 64
+        code, out, _ = run("cost", vit_file)
+        assert code == 0
+        assert json.loads(out)["batch_size"] == 1
+
+    def test_baseline_does_not_carry_over(self, run, tmp_path, space_file, annotations_file):
+        out_dir = tmp_path / "out"
+        assert run("sweep", space_file, "--out", out_dir, "--annotations", annotations_file)[0] == 0
+        code, out, _ = run(
+            "best", out_dir, "--metric", "top1", "--max-drop", "5",
+            "--baseline", "vit_small;N=9;patch=8",
+        )
+        assert code == 0 and json.loads(out)["baseline"] == "vit_small;N=9;patch=8"
+        code, out, _ = run("best", out_dir, "--metric", "top1", "--max-drop", "5")
+        assert code == 0 and json.loads(out)["baseline"] == "vit_small;N=11;patch=16"
 
 
 class TestPresets:

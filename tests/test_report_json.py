@@ -1,32 +1,35 @@
-"""Report serialization: the compact ``report_to_json`` text is exactly
-``json.dumps`` of ``report_to_dict`` with compact separators."""
+"""Report serialization: ``report_to_json`` text is exactly ``json.dumps``
+of ``report_to_dict``, compact (``indent=None``) and indented by 2."""
 
 import dataclasses
 import json
 
 import pytest
 
-from visioncost.arch import DTYPES, EvalConfig, FlopConvention
+from visioncost.arch import DTYPES, CnnSpec, EvalConfig, FlopConvention
 from visioncost.cost import cost_report, report_to_dict, report_to_json
 from visioncost.presets import PRESETS, vit_small
 
-ODD_NAME = 'a"quote\\backé☃'
+ODD_NAME = 'a"quote\\back\né☃'
 
 SPECS = {name: entry.build() for name, entry in sorted(PRESETS.items())}
 SPECS.update(
     {f"vit_small_depth{d}": dataclasses.replace(vit_small(), depth=d) for d in (0, 1)}
 )
 SPECS["odd_name"] = dataclasses.replace(vit_small(), name=ODD_NAME, depth=1)
+SPECS["cnn_no_layers"] = CnnSpec(name="no_layers", input_channels=3, layers=())
 
 
 def compact(report):
     return json.dumps(report_to_dict(report), separators=(",", ":"))
 
 
-@pytest.mark.parametrize("convention", list(FlopConvention))
-@pytest.mark.parametrize("name", sorted(SPECS))
-def test_compact_json_equals_json_dumps_of_the_dict(name, convention):
-    spec = SPECS[name]
+def indented(report):
+    return json.dumps(report_to_dict(report), indent=2)
+
+
+def reports(name, convention):
+    """The spec's report under ``convention`` at every dtype, batch 1 and 3."""
     resolution = PRESETS[name].default_eval.input_resolution if name in PRESETS else None
     for dtype in sorted(DTYPES):
         for batch in (1, 3):
@@ -36,8 +39,28 @@ def test_compact_json_equals_json_dumps_of_the_dict(name, convention):
                 input_resolution=resolution,
                 flop_convention=convention,
             )
-            report = cost_report(spec, cfg)
-            assert report_to_json(report, indent=None) == compact(report)
+            yield cost_report(SPECS[name], cfg)
+
+
+@pytest.mark.parametrize("convention", list(FlopConvention))
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_compact_json_equals_json_dumps_of_the_dict(name, convention):
+    for report in reports(name, convention):
+        assert report_to_json(report, indent=None) == compact(report)
+
+
+@pytest.mark.parametrize("convention", list(FlopConvention))
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_indented_json_equals_json_dumps_of_the_dict(name, convention):
+    for report in reports(name, convention):
+        assert report_to_json(report) == indented(report)
+
+
+@pytest.mark.parametrize("indent", [0, 1, 4, "\t"])
+def test_other_layouts_rejected(indent):
+    report = cost_report(SPECS["vit_small_depth1"], EvalConfig())
+    with pytest.raises(ValueError, match="indent must be None or 2"):
+        report_to_json(report, indent=indent)
 
 
 def test_escapes_layer_names_like_the_encoder():
@@ -50,8 +73,4 @@ def test_escapes_layer_names_like_the_encoder():
     assert text == compact(report)
     assert text.isascii()
     assert json.loads(text)["per_layer"][0]["name"] == f"{ODD_NAME}/0\n\t\x00"
-
-
-def test_indented_json_is_unchanged():
-    report = cost_report(SPECS["resnet50"], EvalConfig())
-    assert report_to_json(report) == json.dumps(report_to_dict(report), indent=2)
+    assert report_to_json(report) == indented(report)
