@@ -2,7 +2,9 @@
 
 A model is either a convolutional stack (``CnnSpec``: a linear layer list
 with explicit residual back-references) or a transformer configuration
-(``ViTSpec``). Specs are immutable value objects. Validation returns
+(``ViTSpec``). Specs and the other records are immutable named tuples;
+like any tuple, a record equals a plain tuple or another record with the
+same values, so compare types too where that matters. Validation returns
 violation records instead of raising, so callers can collect every problem
 in one pass; cost evaluation assumes a spec that validated cleanly.
 """
@@ -10,23 +12,27 @@ in one pass; cost evaluation assumes a spec that validated cleanly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
-from typing import Any, Union
+from typing import Any, Callable, NamedTuple, Union, get_type_hints
 
-@dataclass(frozen=True, slots=True)
-class DTypeDesc:
-    """Numeric storage format: a name and its element width in bytes."""
 
+class _DTypeDesc(NamedTuple):
     name: str
     bytes_per_element: int
 
-    def __post_init__(self) -> None:
-        if self.bytes_per_element not in (1, 2, 4, 8):
+
+class DTypeDesc(_DTypeDesc):
+    """Numeric storage format: a name and its element width in bytes."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, bytes_per_element: int) -> DTypeDesc:
+        if bytes_per_element not in (1, 2, 4, 8):
             raise ValueError(
-                f"bytes_per_element must be 1, 2, 4 or 8, got {self.bytes_per_element}"
+                f"bytes_per_element must be 1, 2, 4 or 8, got {bytes_per_element}"
             )
+        return super().__new__(cls, name, bytes_per_element)
 
 
 FP64 = DTypeDesc("fp64", 8)
@@ -61,18 +67,21 @@ class FlopConvention(str, Enum):
     FULL_COUNT = "full_count"
 
 
-@dataclass(frozen=True, slots=True)
-class TensorShape:
-    """Per-sample tensor shape; the batch dimension is tracked separately."""
-
+class _TensorShape(NamedTuple):
     dims: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        if not self.dims:
+
+class TensorShape(_TensorShape):
+    """Per-sample tensor shape; the batch dimension is tracked separately."""
+
+    __slots__ = ()
+
+    def __new__(cls, dims: tuple[int, ...]) -> TensorShape:
+        if not dims:
             raise ValueError("TensorShape needs at least one dimension")
-        if any(d < 1 for d in self.dims):
-            raise ValueError(f"all dims must be >= 1, got {self.dims}")
+        if any(d < 1 for d in dims):
+            raise ValueError(f"all dims must be >= 1, got {dims}")
+        return super().__new__(cls, dims)
 
     def __str__(self) -> str:
         return "x".join(str(d) for d in self.dims)
@@ -85,8 +94,7 @@ class TensorShape:
 # mismatches, bad back-references) are reported by validate_cnn as data.
 
 
-@dataclass(frozen=True, slots=True)
-class Conv2d:
+class Conv2d(NamedTuple):
     in_ch: int
     out_ch: int
     kernel: int
@@ -102,41 +110,34 @@ class Conv2d:
     input_layer_index: int | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class Pool:
+class Pool(NamedTuple):
     kind: str  # "max" or "avg"
     kernel: int
     stride: int = 1
     padding: int = 0
 
 
-@dataclass(frozen=True, slots=True)
-class GlobalPool:
+class GlobalPool(NamedTuple):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class BatchNorm:
+class BatchNorm(NamedTuple):
     ch: int
 
 
-@dataclass(frozen=True, slots=True)
-class Activation:
+class Activation(NamedTuple):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class ResidualAdd:
+class ResidualAdd(NamedTuple):
     source_layer_index: int
 
 
-@dataclass(frozen=True, slots=True)
-class Resize:
+class Resize(NamedTuple):
     target_hw: int
 
 
-@dataclass(frozen=True, slots=True)
-class Linear:
+class Linear(NamedTuple):
     in_features: int
     out_features: int
 
@@ -146,18 +147,13 @@ CnnLayer = Union[
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class CnnSpec:
+class CnnSpec(NamedTuple):
     name: str
     input_channels: int
     layers: tuple[CnnLayer, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "layers", tuple(self.layers))
 
-
-@dataclass(frozen=True, slots=True)
-class ViTSpec:
+class ViTSpec(NamedTuple):
     """Square-grid vision transformer without a class token.
 
     The token grid is ``tokens_per_side ** 2`` patches; the classifier
@@ -179,27 +175,33 @@ class ViTSpec:
 ArchSpec = Union[CnnSpec, ViTSpec]
 
 
-@dataclass(frozen=True, slots=True)
-class EvalConfig:
-    """Evaluation-time settings: batch, storage format, resolution, counting.
-
-    ``input_resolution`` is pixels per side for a CNN and tokens per side
-    for a ViT. ``None`` means the spec default: a ViT's own
-    ``tokens_per_side``, or 224 pixels for a CNN.
-    """
-
+class _EvalConfig(NamedTuple):
     batch_size: int = 1
     dtype: DTypeDesc = FP32
     input_resolution: int | None = None
     flop_convention: FlopConvention = FlopConvention.CLOSED_FORM
 
-    def __post_init__(self) -> None:
+
+class EvalConfig(_EvalConfig):
+    """Evaluation-time settings: batch, storage format, resolution, counting.
+
+    ``input_resolution`` is pixels per side for a CNN and tokens per side
+    for a ViT. ``None`` means the spec default: a ViT's own
+    ``tokens_per_side``, or 224 pixels for a CNN. The constructor checks
+    both; ``_replace`` does not, so its callers check what they set.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args: Any, **kwargs: Any) -> EvalConfig:
+        self = super().__new__(cls, *args, **kwargs)
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.input_resolution is not None and self.input_resolution < 1:
             raise ValueError(
                 f"input_resolution must be >= 1, got {self.input_resolution}"
             )
+        return self
 
     def resolution_for(self, spec: ArchSpec) -> int:
         if self.input_resolution is not None:
@@ -209,8 +211,7 @@ class EvalConfig:
         return 224
 
 
-@dataclass(frozen=True, slots=True)
-class Violation:
+class Violation(NamedTuple):
     """One validation problem, tied to a layer where that makes sense."""
 
     layer_index: int | None
@@ -395,8 +396,10 @@ def validate_spec(spec: ArchSpec) -> list[Violation]:
 
 
 # --------------------------------------------------------------------------
-# JSON form. Keys are emitted in dataclass definition order so serialization
-# is deterministic; unknown keys are rejected on the way in.
+# JSON form. Keys are emitted in field definition order so serialization
+# is deterministic. On the way in, one schema read from the records' own
+# annotations rejects unknown keys, names missing ones and checks the type
+# of every value.
 
 _LAYER_TAGS: dict[type, str] = {
     Conv2d: "conv2d",
@@ -409,11 +412,6 @@ _LAYER_TAGS: dict[type, str] = {
     Linear: "linear",
 }
 _TAG_TO_LAYER = {tag: cls for cls, tag in _LAYER_TAGS.items()}
-# Field name -> annotation (a string here) of each spec class, in
-# definition order, built once.
-_FIELD_TYPES: dict[type, dict[str, str]] = {
-    cls: {f.name: f.type for f in fields(cls)} for cls in (*_LAYER_TAGS, ViTSpec, CnnSpec)
-}
 
 
 def checked_int(value: Any, field: str) -> int:
@@ -423,25 +421,63 @@ def checked_int(value: Any, field: str) -> int:
     return value
 
 
-def _check_types(cls: type, values: dict[str, Any], where: str) -> None:
-    """Check the values given for ``cls``'s ``int``, ``int | None`` and
-    ``bool`` fields (annotations are strings here); missing keys are left
-    to the constructor."""
-    for name, kind in _FIELD_TYPES[cls].items():
-        if name not in values:
+def checked_str(value: Any, field: str) -> str:
+    """``value`` when it is a string; a number, list or null is not."""
+    if not isinstance(value, str):
+        raise ValueError(f"{field} must be a string, got {json.dumps(value)}")
+    return value
+
+
+def _checked_bool(value: Any, field: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"{field} must be true or false, got {json.dumps(value)}")
+    return value
+
+
+# The check of each field type a spec file holds: (value, field) -> value.
+_CHECKS: dict[Any, Callable[[Any, str], Any]] = {
+    int: checked_int,
+    int | None: lambda value, field: value if value is None else checked_int(value, field),
+    bool: _checked_bool,
+    str: checked_str,
+}
+
+
+def _field_checks(cls: type) -> dict[str, Callable[[Any, str], Any]]:
+    """Field name -> check, for each field of spec record ``cls`` in
+    definition order. A field whose type has no check fails the import, so
+    none goes unchecked; a CnnSpec's layers are walked by spec_from_dict."""
+    checks = {}
+    for name, kind in get_type_hints(cls).items():
+        if cls is CnnSpec and name == "layers":
             continue
-        value = values[name]
-        if kind == "int" or (kind == "int | None" and value is not None):
-            checked_int(value, where + name)
-        elif kind == "bool" and not isinstance(value, bool):
-            raise ValueError(f"{where}{name} must be true or false, got {json.dumps(value)}")
+        if kind not in _CHECKS:
+            raise TypeError(f"{cls.__name__}.{name}: no load check for {kind}")
+        checks[name] = _CHECKS[kind]
+    return checks
+
+
+_FIELD_CHECKS = {cls: _field_checks(cls) for cls in (*_LAYER_TAGS, ViTSpec, CnnSpec)}
+
+
+def _record_from_dict(cls: type, values: dict[str, Any], where: str, noun: str) -> Any:
+    """``cls(**values)`` once every key names a field of ``cls``, every
+    field without a default has a key and every value has its field's type.
+    A fault raises ValueError, its message prefixed by ``where``."""
+    unknown = values.keys() - cls._fields
+    if unknown:
+        raise ValueError(f"{where}unknown key(s) {sorted(unknown)} for {noun}")
+    for name, check in _FIELD_CHECKS[cls].items():
+        if name in values:
+            check(values[name], where + name)
+    for name in cls._fields:
+        if name not in values and name not in cls._field_defaults:
+            raise ValueError(f"{where}{noun} is missing key {name!r}")
+    return cls(**values)
 
 
 def _layer_to_dict(layer: CnnLayer) -> dict[str, Any]:
-    d: dict[str, Any] = {"type": _LAYER_TAGS[type(layer)]}
-    for name in _FIELD_TYPES[type(layer)]:
-        d[name] = getattr(layer, name)
-    return d
+    return {"type": _LAYER_TAGS[type(layer)], **layer._asdict()}
 
 
 def _layer_from_dict(i: int, d: dict[str, Any]) -> CnnLayer:
@@ -451,24 +487,13 @@ def _layer_from_dict(i: int, d: dict[str, Any]) -> CnnLayer:
     tag = work.pop("type", None)
     if not isinstance(tag, str) or tag not in _TAG_TO_LAYER:
         raise ValueError(f"layer {i}: unknown layer type {tag!r}")
-    cls = _TAG_TO_LAYER[tag]
-    unknown = work.keys() - _FIELD_TYPES[cls].keys()
-    if unknown:
-        raise ValueError(f"layer {i}: unknown key(s) {sorted(unknown)} for {tag}")
-    _check_types(cls, work, f"layer {i}: ")
-    try:
-        return cls(**work)
-    except TypeError as exc:
-        raise ValueError(f"layer {i}: {exc}") from None
+    return _record_from_dict(_TAG_TO_LAYER[tag], work, f"layer {i}: ", tag)
 
 
 def spec_to_dict(spec: ArchSpec) -> dict[str, Any]:
     if isinstance(spec, ViTSpec):
-        d: dict[str, Any] = {"kind": "vit"}
-        for name in _FIELD_TYPES[ViTSpec]:
-            d[name] = getattr(spec, name)
-        return d
-    d = {"kind": "cnn", "name": spec.name, "input_channels": spec.input_channels}
+        return {"kind": "vit", **spec._asdict()}
+    d = {"kind": "cnn", **spec._asdict()}
     d["layers"] = [_layer_to_dict(layer) for layer in spec.layers]
     return d
 
@@ -477,30 +502,15 @@ def spec_from_dict(d: dict[str, Any]) -> ArchSpec:
     if not isinstance(d, dict):
         raise ValueError(f"expected a JSON object, got {type(d).__name__}")
     kind = d.get("kind")
+    work = {k: v for k, v in d.items() if k != "kind"}
     if kind == "vit":
-        work = {k: v for k, v in d.items() if k != "kind"}
-        unknown = work.keys() - _FIELD_TYPES[ViTSpec].keys()
-        if unknown:
-            raise ValueError(f"unknown key(s) {sorted(unknown)} for vit spec")
-        _check_types(ViTSpec, work, "")
-        try:
-            return ViTSpec(**work)
-        except TypeError as exc:
-            raise ValueError(str(exc)) from None
+        return _record_from_dict(ViTSpec, work, "", "vit spec")
     if kind == "cnn":
-        work = {k: v for k, v in d.items() if k != "kind"}
-        layers_raw = work.pop("layers", None)
-        unknown = set(work) - {"name", "input_channels"}
-        if unknown:
-            raise ValueError(f"unknown key(s) {sorted(unknown)} for cnn spec")
-        if not isinstance(layers_raw, list):
+        layers = work.get("layers")
+        if not isinstance(layers, list):
             raise ValueError("cnn spec needs a 'layers' array")
-        layers = tuple(_layer_from_dict(i, ld) for i, ld in enumerate(layers_raw))
-        _check_types(CnnSpec, work, "")
-        try:
-            return CnnSpec(name=work["name"], input_channels=work["input_channels"], layers=layers)
-        except KeyError as exc:
-            raise ValueError(f"cnn spec is missing key {exc}") from None
+        work["layers"] = tuple(_layer_from_dict(i, ld) for i, ld in enumerate(layers))
+        return _record_from_dict(CnnSpec, work, "", "cnn spec")
     raise ValueError(f"spec kind must be 'cnn' or 'vit', got {kind!r}")
 
 

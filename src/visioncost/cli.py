@@ -42,6 +42,7 @@ from .arch import (
     EvalConfig,
     FlopConvention,
     checked_int,
+    checked_str,
     dtype_from_name,
     load_spec,
     validate_spec,
@@ -204,7 +205,7 @@ def _parse_eval_dict(d: dict[str, Any], where: str) -> EvalConfig:
     if "batch_size" in d:
         kwargs["batch_size"] = checked_int(d["batch_size"], f"{where}: batch_size")
     if "dtype" in d:
-        kwargs["dtype"] = dtype_from_name(_checked_str(d["dtype"], f"{where}: dtype"))
+        kwargs["dtype"] = dtype_from_name(checked_str(d["dtype"], f"{where}: dtype"))
     if d.get("input_resolution") is not None:  # null: the spec default
         kwargs["input_resolution"] = checked_int(
             d["input_resolution"], f"{where}: input_resolution"
@@ -234,13 +235,6 @@ def _check_axis_values(i: int, kind: TransformKind, values: list) -> None:
             raise ValueError(f"axis {i}: {value!r} is not a valid {kind.value} value")
 
 
-def _checked_str(value: Any, field: str) -> str:
-    """``value`` when it is a string; a number, list or null is not."""
-    if not isinstance(value, str):
-        raise ValueError(f"{field} must be a string, got {json.dumps(value)}")
-    return value
-
-
 def _load_space(path: str) -> SweepSpace:
     """The space in JSON file ``path``. An OSError names the file it could
     not read: the space file or the spec file it names; a ValueError about
@@ -256,7 +250,7 @@ def _load_space(path: str) -> SweepSpace:
     if ("base" in data) == ("spec_file" in data):
         raise ValueError("space file needs exactly one of 'base' or 'spec_file'")
     if "base" in data:
-        name = _checked_str(data["base"], "space file: base")
+        name = checked_str(data["base"], "space file: base")
         if name not in PRESETS:
             known = ", ".join(sorted(PRESETS))
             raise ValueError(f"unknown preset {name!r} (known: {known})")
@@ -264,7 +258,7 @@ def _load_space(path: str) -> SweepSpace:
         base_name = name
         base_eval = PRESETS[name].default_eval
     else:
-        spec_path = base_dir / _checked_str(data["spec_file"], "space file: spec_file")
+        spec_path = base_dir / checked_str(data["spec_file"], "space file: spec_file")
         try:
             base_spec = load_spec(spec_path)
         # A JSONDecodeError too: its position is the spec's, not the space's.
@@ -289,7 +283,7 @@ def _load_space(path: str) -> SweepSpace:
     for i, axis in enumerate(axes_raw):
         if not isinstance(axis, dict) or set(axis) != {"kind", "values"}:
             raise ValueError(f"axis {i} must be an object with 'kind' and 'values'")
-        kind_key = _checked_str(axis["kind"], f"axis {i}: kind")
+        kind_key = checked_str(axis["kind"], f"axis {i}: kind")
         if kind_key not in KIND_BY_KEY:
             raise ValueError(
                 f"axis {i}: unknown kind {kind_key!r} "

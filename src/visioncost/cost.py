@@ -30,7 +30,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Any, NamedTuple
 
@@ -83,8 +82,7 @@ class LayerCost(NamedTuple):
     param_count: int
 
 
-@dataclass(frozen=True, slots=True)
-class CostReport:
+class CostReport(NamedTuple):
     spec_name: str
     convention: FlopConvention
     batch_size: int

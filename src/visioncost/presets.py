@@ -8,8 +8,7 @@ reference configurations for this cost model, not an official card.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .arch import (
     Activation,
@@ -177,8 +176,7 @@ def grouped_seg_backbone() -> CnnSpec:
     )
 
 
-@dataclass(frozen=True)
-class PresetEntry:
+class PresetEntry(NamedTuple):
     build: Callable[[], ArchSpec]
     default_eval: EvalConfig
     summary: str

@@ -15,10 +15,9 @@ registry reproduces the same spec.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .arch import (
     ArchSpec,
@@ -68,8 +67,7 @@ class TransformKind(str, Enum):
     DTYPE = "dtype"
 
 
-@dataclass(frozen=True)
-class ScalingTransform:
+class ScalingTransform(NamedTuple):
     """One scaling step: a knob and its value."""
 
     kind: TransformKind
@@ -100,13 +98,13 @@ def _rescale_channels(spec: CnnSpec, scale: Callable[[int, int], int]) -> CnnSpe
             for channels in (new_in, new_out):
                 if channels % layer.groups != 0:
                     raise RoundingBreaksGroups(i, channels, layer.groups)
-            layer = replace(layer, in_ch=new_in, out_ch=new_out)
+            layer = layer._replace(in_ch=new_in, out_ch=new_out)
         elif isinstance(layer, BatchNorm) and src_derived:
-            layer = replace(layer, ch=scale(layer.ch, i))
+            layer = layer._replace(ch=scale(layer.ch, i))
         elif isinstance(layer, Linear) and src_derived:
-            layer = replace(layer, in_features=scale(layer.in_features, i))
+            layer = layer._replace(in_features=scale(layer.in_features, i))
         new_layers.append(layer)
-    return replace(spec, layers=tuple(new_layers))
+    return spec._replace(layers=tuple(new_layers))
 
 
 def width_scale(spec: CnnSpec, ratio: float) -> CnnSpec:
@@ -179,7 +177,7 @@ def resolution_scale(cfg: EvalConfig, new_resolution: int) -> EvalConfig:
     to reject with InfeasibleResolution."""
     if new_resolution < 1:
         raise ScalingError(f"resolution must be >= 1, got {new_resolution}")
-    return replace(cfg, input_resolution=new_resolution)
+    return cfg._replace(input_resolution=new_resolution)
 
 
 # --------------------------------------------------------------------------
@@ -213,8 +211,8 @@ def apply_transform(
             k = spec.num_heads
             value = max(k, k * ((2 * value + k) // (2 * k)))
         if spec_type is None:
-            return spec, replace(cfg, **{name: value})
-        return replace(spec, **{name: value}), cfg
+            return spec, cfg._replace(**{name: value})
+        return spec._replace(**{name: value}), cfg
     if kind is TransformKind.WIDTH:
         if not isinstance(spec, CnnSpec):
             raise ScalingError("width applies to conv specs")
@@ -226,12 +224,11 @@ def apply_transform(
     if kind is TransformKind.RESOLUTION:
         return spec, resolution_scale(cfg, int(t.parameter))
     if kind is TransformKind.DTYPE:
-        return spec, replace(cfg, dtype=_dtype_of(t.parameter))
+        return spec, cfg._replace(dtype=_dtype_of(t.parameter))
     raise ScalingError(f"unknown transform kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class ScaledConfig:
+class ScaledConfig(NamedTuple):
     """A base spec plus an applied transform chain and its evaluation config."""
 
     base_name: str

@@ -18,7 +18,6 @@ import io
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby, product
 from pathlib import Path
@@ -50,27 +49,17 @@ class SpaceTooLarge(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SweepAxis:
+class SweepAxis(NamedTuple):
     kind: TransformKind
     values: tuple
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(self.values))
-        if not self.values:
-            raise ValueError(f"axis {self.kind.value} has no values")
 
-
-@dataclass(frozen=True)
-class SweepSpace:
+class SweepSpace(NamedTuple):
     base_name: str
     base_spec: ArchSpec
     base_eval: EvalConfig
     axes: tuple[SweepAxis, ...]
     cap: int = ENUMERATION_CAP
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "axes", tuple(self.axes))
 
     @property
     def size(self) -> int:
@@ -80,14 +69,12 @@ class SweepSpace:
         return n
 
 
-@dataclass(frozen=True)
-class SkippedConfig:
+class SkippedConfig(NamedTuple):
     values: tuple
     reason: str
 
 
-@dataclass(frozen=True)
-class EnumeratedSweep:
+class EnumeratedSweep(NamedTuple):
     configs: tuple[ScaledConfig, ...]
     skipped: tuple[SkippedConfig, ...]
 
@@ -237,17 +224,16 @@ def _ascii_float(text: str) -> float:
     return float(text)
 
 
-@dataclass
 class AnnotationTable:
     """(config id, metric) -> value table, typically loaded from CSV."""
 
-    values: dict[tuple[str, str], float] = field(default_factory=dict)
+    def __init__(self, values: dict[tuple[str, str], float] | None = None) -> None:
+        self.values = {} if values is None else values
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "AnnotationTable":
         text = Path(path).read_text(encoding="utf-8")
-        if not text.strip():
-            logger.warning("annotation file %s is empty", path)
+        if not text.strip():  # the CLI warns of an empty table
             return cls()
         # Not splitlines(): a quoted line break stays inside its cell.
         reader = csv.reader(io.StringIO(text))
@@ -388,8 +374,7 @@ class TargetUnreachable(ValueError):
         self.attainable = attainable
 
 
-@dataclass(frozen=True)
-class MatchResult:
+class MatchResult(NamedTuple):
     config: ScaledConfig
     flops: int
     target: int

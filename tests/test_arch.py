@@ -1,7 +1,10 @@
-"""Spec dataclasses, validation, and JSON (de)serialization."""
+"""Spec records (named tuples), validation, and JSON (de)serialization."""
+
+from typing import NamedTuple
 
 import pytest
 
+from visioncost import arch
 from visioncost.arch import (
     Activation,
     BatchNorm,
@@ -154,6 +157,18 @@ class TestViTValidation:
         assert validate_vit(spec)
 
 
+def assert_same_spec(got, want):
+    """Records equal any tuple with the same values, so ``==`` alone cannot
+    tell a GlobalPool from an Activation (both ``()``): compare the types and
+    the JSON form too."""
+    assert got == want
+    assert type(got) is type(want)
+    assert [type(layer) for layer in getattr(got, "layers", ())] == [
+        type(layer) for layer in getattr(want, "layers", ())
+    ]
+    assert spec_to_dict(got) == spec_to_dict(want)
+
+
 class TestJsonRoundTrip:
     def test_cnn_round_trip(self):
         spec = tiny_cnn(
@@ -163,19 +178,30 @@ class TestJsonRoundTrip:
                 Conv2d(8, 8, kernel=3, padding=2, dilation=2, groups=2, has_bias=True),
                 Resize(target_hw=14),
                 ResidualAdd(source_layer_index=1),
+                Activation(),
+                BatchNorm(8),
                 GlobalPool(),
                 Linear(8, 10),
             )
         )
-        again = spec_from_json(spec_to_json(spec))
-        assert again == spec
+        assert_same_spec(spec_from_json(spec_to_json(spec)), spec)
 
     def test_vit_round_trip(self):
         spec = ViTSpec(
             name="v", patch_size=8, hidden_dim=192, num_heads=3,
             mlp_dim=768, depth=6, tokens_per_side=9, num_classes=100,
         )
-        assert spec_from_json(spec_to_json(spec)) == spec
+        assert_same_spec(spec_from_json(spec_to_json(spec)), spec)
+
+    def test_records_of_equal_values_are_told_apart(self):
+        # The hazard assert_same_spec guards against.
+        assert GlobalPool() == Activation() == ()
+        assert BatchNorm(8) == ResidualAdd(8)
+        pooled, activated = tiny_cnn(layers=(GlobalPool(),)), tiny_cnn(layers=(Activation(),))
+        assert pooled == activated
+        assert spec_to_dict(pooled) != spec_to_dict(activated)
+        with pytest.raises(AssertionError):
+            assert_same_spec(pooled, activated)
 
     def test_unknown_layer_key_rejected_with_index(self):
         d = spec_to_dict(tiny_cnn())
@@ -192,6 +218,18 @@ class TestJsonRoundTrip:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
             spec_from_dict({"kind": "rnn", "name": "x"})
+
+    def test_schema_checks_every_loaded_field(self):
+        assert arch._FIELD_CHECKS[ViTSpec]["name"] is arch.checked_str
+        assert arch._FIELD_CHECKS[Pool]["kind"] is arch.checked_str
+        assert list(arch._FIELD_CHECKS[CnnSpec]) == ["name", "input_channels"]
+
+    def test_schema_refuses_a_field_type_it_cannot_check(self):
+        class Odd(NamedTuple):
+            ratio: float
+
+        with pytest.raises(TypeError, match="Odd.ratio: no load check for <class 'float'>"):
+            arch._field_checks(Odd)
 
     def test_layer_type_tag_is_first_key(self):
         d = spec_to_dict(tiny_cnn())

@@ -2,10 +2,12 @@
 
 import contextlib
 import csv
-import dataclasses
 import io
 import json
 import logging
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -157,6 +159,10 @@ class TestCost:
             ("resnet50", ["layers", 1, "ch"], False, "layer 1: ch must be an integer, got false"),
             ("resnet50", ["layers", 0, "has_bias"], "false",
              'layer 0: has_bias must be true or false, got "false"'),
+            ("vit_small", ["name"], ["x", 1], 'name must be a string, got ["x", 1]'),
+            ("resnet50", ["name"], 7, "name must be a string, got 7"),
+            ("resnet50", ["layers", 3, "kind"], ["max"],
+             'layer 3: kind must be a string, got ["max"]'),
         ],
     )
     def test_wrong_spec_field_type(self, run, tmp_path, base, path, value, message):
@@ -175,10 +181,46 @@ class TestCost:
         assert payload["error"] == "spec"
         assert payload["message"] == message
 
+    @pytest.mark.parametrize(
+        "base, path, message",
+        [
+            ("vit_small", ["depth"], "vit spec is missing key 'depth'"),
+            ("resnet50", ["name"], "cnn spec is missing key 'name'"),
+            ("resnet50", ["input_channels"], "cnn spec is missing key 'input_channels'"),
+            ("resnet50", ["layers", 0, "kernel"], "layer 0: conv2d is missing key 'kernel'"),
+            ("resnet50", ["layers", 1, "ch"], "layer 1: batch_norm is missing key 'ch'"),
+        ],
+    )
+    def test_missing_spec_key(self, run, tmp_path, base, path, message):
+        data = spec_to_dict(PRESETS[base].build())
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        del target[path[-1]]
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps(data))
+        code, out, err = run("cost", p)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "spec", "message": message, "path": str(p)}
+
     def test_bad_batch_is_usage_error(self, run, vit_file):
         code, _, err = run("cost", vit_file, "--batch", 0)
         assert code == 64
         assert "usage error" in err
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    """Records are named tuples: importing the CLI pulls in neither module
+    (each costs start-up time on every command)."""
+    code = (
+        "import sys, visioncost.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(visioncost.cli.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "[]\n"
 
 
 def _leaf_paths(node, path=()):
@@ -497,6 +539,45 @@ class TestSweep:
         assert run("sweep", bad, "--out", tmp_path / "fresh")[0] == 3
         assert not (tmp_path / "fresh").exists()
 
+    def test_empty_axis_rejected(self, run, tmp_path):
+        space = write_space(tmp_path / "s.json", "vit_small", ("depth", []))
+        code, _, err = run("sweep", space, "--out", tmp_path / "out")
+        assert code == 2
+        payload = json.loads(err)
+        assert payload["error"] == "space"
+        assert payload["message"] == "axis 0: 'values' must be a non-empty array"
+        assert not (tmp_path / "out").exists()
+
+    def test_non_string_spec_name_is_a_space_error(self, run, tmp_path):
+        data = spec_to_dict(vit_small())
+        data["name"] = ["x", 1]
+        (tmp_path / "net.json").write_text(json.dumps(data))
+        space = tmp_path / "s.json"
+        space.write_text(
+            json.dumps({"spec_file": "net.json", "axes": [{"kind": "N", "values": [4]}]})
+        )
+        code, out, err = run("sweep", space, "--out", tmp_path / "out")
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "space"
+        assert payload["message"] == (
+            f"spec {tmp_path / 'net.json'}: name must be a string, got [\"x\", 1]"
+        )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "text", ["", "config_id,metric,value\n"], ids=["zero-byte", "header-only"]
+    )
+    def test_empty_annotations_warn_once(self, run, tmp_path, space_file, caplog, text):
+        ann = tmp_path / "empty.csv"
+        ann.write_text(text)
+        with caplog.at_level(logging.WARNING):
+            code, _, _ = run("sweep", space_file, "--out", tmp_path / "out", "--annotations", ann)
+        assert code == 0
+        warnings = [r.getMessage() for r in caplog.records if "empty" in r.getMessage()]
+        assert warnings == [f"annotation table {ann} is empty"]
+
     def test_each_skip_is_logged_once(self, run, tmp_path, caplog):
         space = write_space(tmp_path / "s.json", "vit_small", ("depth", [0, 6, -1]))
         with caplog.at_level(logging.WARNING):
@@ -518,7 +599,7 @@ class TestSweep:
         ids=["long-name", "huge-hidden"],
     )
     def test_long_config_id_gets_a_short_file_name(self, run, tmp_path, name, axis):
-        save_spec(dataclasses.replace(vit_small(), name=name), tmp_path / "net.json")
+        save_spec(vit_small()._replace(name=name), tmp_path / "net.json")
         space = tmp_path / "space.json"
         kind, values = axis
         space.write_text(
@@ -1063,6 +1144,17 @@ class TestMatch:
         assert payload["error"] == "match"
         assert "too wide to bisect" in payload["message"]
 
+    def test_non_string_spec_name_is_a_spec_error(self, run, tmp_path):
+        data = spec_to_dict(vit_small())
+        data["name"] = ["x", 1]
+        p = tmp_path / "net.json"
+        p.write_text(json.dumps(data))
+        code, out, err = run("match", p, "--knob", "depth", "--target-flops", 10**9)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "spec", "message": 'name must be a string, got ["x", 1]', "path": str(p),
+        }
+
     def test_flattening_classifier_shape_mismatch(self, run, tmp_path):
         # The classifier fits only the 64-pixel grid: 4 * 62 * 62 features.
         spec = CnnSpec(
@@ -1275,7 +1367,7 @@ class TestBest:
         }
 
     def test_config_id_with_line_break(self, run, tmp_path):
-        save_spec(dataclasses.replace(vit_small(), name="a\nb"), tmp_path / "net.json")
+        save_spec(vit_small()._replace(name="a\nb"), tmp_path / "net.json")
         space = tmp_path / "space.json"
         space.write_text(
             json.dumps({"spec_file": "net.json", "axes": [{"kind": "N", "values": [4, 6]}]})

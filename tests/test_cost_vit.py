@@ -5,7 +5,6 @@ attention-times-values, softmax, projection, MLP) and frozen at a few
 anchor sizes; the graph-walk convention is checked op name by op name.
 """
 
-import dataclasses
 import json
 import sys
 
@@ -306,7 +305,7 @@ class TestFullCountRows:
     @pytest.mark.parametrize("preset", [vit_small, vit_base])
     @pytest.mark.parametrize("depth", [0, 1, 12])
     def test_every_row_matches_the_operator_loop(self, preset, depth):
-        spec = dataclasses.replace(preset(), depth=depth)
+        spec = preset()._replace(depth=depth)
         for n in (6, 14, 24):
             for batch in (1, 3):
                 for dtype in DTYPES.values():

@@ -1,7 +1,6 @@
 """Report serialization: ``report_to_json`` text is exactly ``json.dumps``
 of ``report_to_dict``, compact (``indent=None``) and indented by 2."""
 
-import dataclasses
 import json
 
 import pytest
@@ -14,9 +13,9 @@ ODD_NAME = 'a"quote\\back\né☃'
 
 SPECS = {name: entry.build() for name, entry in sorted(PRESETS.items())}
 SPECS.update(
-    {f"vit_small_depth{d}": dataclasses.replace(vit_small(), depth=d) for d in (0, 1)}
+    {f"vit_small_depth{d}": vit_small()._replace(depth=d) for d in (0, 1)}
 )
-SPECS["odd_name"] = dataclasses.replace(vit_small(), name=ODD_NAME, depth=1)
+SPECS["odd_name"] = vit_small()._replace(name=ODD_NAME, depth=1)
 SPECS["cnn_no_layers"] = CnnSpec(name="no_layers", input_channels=3, layers=())
 
 
@@ -68,7 +67,7 @@ def test_escapes_layer_names_like_the_encoder():
     rows = tuple(
         row._replace(name=f"{ODD_NAME}/{i}\n\t\x00") for i, row in enumerate(report.per_layer)
     )
-    report = dataclasses.replace(report, per_layer=rows)
+    report = report._replace(per_layer=rows)
     text = report_to_json(report, indent=None)
     assert text == compact(report)
     assert text.isascii()
