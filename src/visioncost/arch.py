@@ -6,7 +6,9 @@ with explicit residual back-references) or a transformer configuration
 like any tuple, a record equals a plain tuple or another record with the
 same values, so compare types too where that matters. Validation returns
 violation records instead of raising, so callers can collect every problem
-in one pass; cost evaluation assumes a spec that validated cleanly.
+in one pass; cost evaluation assumes a spec that validated cleanly. A CNN
+spec is validated for what holds at any input resolution; the cost walk
+reports what depends on the resolution it is costed at.
 """
 
 from __future__ import annotations
@@ -230,142 +232,80 @@ def _check_positive(
         out.append(Violation(index, f"{what} must be >= 1, got {value}"))
 
 
-def _static_layer_checks(spec: CnnSpec) -> list[Violation]:
+def _check_padding(out: list[Violation], index: int, value: int) -> None:
+    if value < 0:
+        out.append(Violation(index, f"padding must be >= 0, got {value}"))
+
+
+def validate_cnn(spec: CnnSpec) -> list[Violation]:
+    """Return every violation that holds at any input resolution, in one pass:
+    field bounds, back-references, group divisibility and the channel chain.
+    The spec's own violation comes first, then each layer's in layer order.
+    Empty means the cost walk can run. Whether a window fits, residual grids
+    agree or a flattened map fits a classifier depends on the resolution;
+    the walk reports those when it is costed."""
     out: list[Violation] = []
+    _check_positive(out, None, spec.input_channels, "input_channels")
+    channels: list[int] = []  # output channels per layer
+    cur = spec.input_channels
+    collapsed = False  # spatial dims 1x1 at any resolution (after GlobalPool)
     for i, layer in enumerate(spec.layers):
         if isinstance(layer, Conv2d):
-            _check_positive(out, i, layer.in_ch, "in_ch")
-            _check_positive(out, i, layer.out_ch, "out_ch")
-            _check_positive(out, i, layer.kernel, "kernel")
-            _check_positive(out, i, layer.stride, "stride")
-            _check_positive(out, i, layer.dilation, "dilation")
-            _check_positive(out, i, layer.groups, "groups")
-            if layer.padding < 0:
-                out.append(Violation(i, f"padding must be >= 0, got {layer.padding}"))
+            for field in ("in_ch", "out_ch", "kernel", "stride", "dilation", "groups"):
+                _check_positive(out, i, getattr(layer, field), field)
+            _check_padding(out, i, layer.padding)
             if layer.groups >= 1:
-                if layer.in_ch % layer.groups != 0:
-                    out.append(
-                        Violation(
-                            i,
-                            f"in_ch {layer.in_ch} not divisible by groups {layer.groups}",
-                        )
-                    )
-                if layer.out_ch % layer.groups != 0:
-                    out.append(
-                        Violation(
-                            i,
-                            f"out_ch {layer.out_ch} not divisible by groups {layer.groups}",
-                        )
-                    )
-            if layer.input_layer_index is not None and not (
-                0 <= layer.input_layer_index < i
-            ):
-                out.append(
-                    Violation(
-                        i,
-                        f"input_layer_index {layer.input_layer_index} must point at an earlier layer",
-                    )
-                )
+                for field in ("in_ch", "out_ch"):
+                    if getattr(layer, field) % layer.groups != 0:
+                        out.append(Violation(
+                            i, f"{field} {getattr(layer, field)} not divisible by groups {layer.groups}"
+                        ))
+            src = cur
+            if layer.input_layer_index is not None:
+                if 0 <= layer.input_layer_index < i:
+                    src = channels[layer.input_layer_index]
+                else:
+                    out.append(Violation(
+                        i, f"input_layer_index {layer.input_layer_index} must point at an earlier layer"
+                    ))
+            if layer.in_ch != src:
+                out.append(Violation(i, f"in_ch {layer.in_ch} does not match input channels {src}"))
+            cur = layer.out_ch
+            collapsed = False
         elif isinstance(layer, Pool):
             if layer.kind not in ("max", "avg"):
                 out.append(Violation(i, f"pool kind must be 'max' or 'avg', got {layer.kind!r}"))
             _check_positive(out, i, layer.kernel, "kernel")
             _check_positive(out, i, layer.stride, "stride")
-            if layer.padding < 0:
-                out.append(Violation(i, f"padding must be >= 0, got {layer.padding}"))
+            _check_padding(out, i, layer.padding)
+            collapsed = False  # padding can widen a 1x1 map
+        elif isinstance(layer, GlobalPool):
+            collapsed = True
         elif isinstance(layer, BatchNorm):
             _check_positive(out, i, layer.ch, "ch")
-        elif isinstance(layer, ResidualAdd):
-            if not 0 <= layer.source_layer_index < i:
-                out.append(
-                    Violation(
-                        i,
-                        f"source_layer_index {layer.source_layer_index} must point at an earlier layer",
-                    )
-                )
-        elif isinstance(layer, Resize):
-            _check_positive(out, i, layer.target_hw, "target_hw")
-        elif isinstance(layer, Linear):
-            _check_positive(out, i, layer.in_features, "in_features")
-            _check_positive(out, i, layer.out_features, "out_features")
-    return out
-
-
-def _channel_chain_checks(spec: CnnSpec) -> list[Violation]:
-    """Resolution-independent channel consistency along the sequence."""
-    out: list[Violation] = []
-    channels: list[int] = []  # output channels per layer
-    cur = spec.input_channels
-    collapsed = False  # spatial dims known to be 1x1 (after GlobalPool)
-    for i, layer in enumerate(spec.layers):
-        if isinstance(layer, Conv2d):
-            src = cur
-            if layer.input_layer_index is not None and 0 <= layer.input_layer_index < i:
-                src = channels[layer.input_layer_index]
-            if layer.in_ch != src:
-                out.append(
-                    Violation(i, f"in_ch {layer.in_ch} does not match input channels {src}")
-                )
-            cur = layer.out_ch
-            collapsed = False
-        elif isinstance(layer, BatchNorm):
             if layer.ch != cur:
                 out.append(Violation(i, f"ch {layer.ch} does not match input channels {cur}"))
         elif isinstance(layer, ResidualAdd):
-            if 0 <= layer.source_layer_index < i:
-                src_ch = channels[layer.source_layer_index]
-                if src_ch != cur:
-                    out.append(
-                        Violation(
-                            i,
-                            f"residual source layer {layer.source_layer_index} has "
-                            f"{src_ch} channels, current stream has {cur}",
-                        )
-                    )
-        elif isinstance(layer, GlobalPool):
-            collapsed = True
+            source = layer.source_layer_index
+            if not 0 <= source < i:
+                out.append(Violation(i, f"source_layer_index {source} must point at an earlier layer"))
+            elif channels[source] != cur:
+                out.append(Violation(
+                    i, f"residual source layer {source} has {channels[source]} channels, "
+                    f"current stream has {cur}"
+                ))
+        elif isinstance(layer, Resize):
+            _check_positive(out, i, layer.target_hw, "target_hw")
+            collapsed = False
         elif isinstance(layer, Linear):
+            _check_positive(out, i, layer.in_features, "in_features")
+            _check_positive(out, i, layer.out_features, "out_features")
             if collapsed and layer.in_features != cur:
-                out.append(
-                    Violation(
-                        i,
-                        f"in_features {layer.in_features} does not match input channels {cur}",
-                    )
-                )
+                out.append(Violation(
+                    i, f"in_features {layer.in_features} does not match input channels {cur}"
+                ))
             cur = layer.out_features
         channels.append(cur)
-    return out
-
-
-_PROBE_RESOLUTIONS = (64, 256, 1024, 4096)
-
-
-def validate_cnn(spec: CnnSpec) -> list[Violation]:
-    """Return every invariant violation; empty means the spec is well formed
-    and shape propagation will succeed at some input resolution."""
-    out = _static_layer_checks(spec)
-    if spec.input_channels < 1:
-        out.append(Violation(None, f"input_channels must be >= 1, got {spec.input_channels}"))
-    out.extend(_channel_chain_checks(spec))
-    if out:
-        return out
-
-    # Structural checks that need spatial arithmetic (residual grids, linear
-    # fan-in) run through a trial propagation at a probe resolution.
-    from .cost import InfeasibleResolution, ShapeMismatch, propagate_shapes
-
-    for res in _PROBE_RESOLUTIONS:
-        try:
-            propagate_shapes(spec, EvalConfig(input_resolution=res))
-            return []
-        except InfeasibleResolution:
-            continue
-        except ShapeMismatch as exc:
-            out.append(Violation(exc.layer_index, exc.message))
-            return out
-    out.append(
-        Violation(None, f"no feasible input resolution up to {_PROBE_RESOLUTIONS[-1]}")
-    )
     return out
 
 

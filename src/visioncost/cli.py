@@ -235,10 +235,11 @@ def _check_axis_values(i: int, kind: TransformKind, values: list) -> None:
             raise ValueError(f"axis {i}: {value!r} is not a valid {kind.value} value")
 
 
-def _load_space(path: str) -> SweepSpace:
-    """The space in JSON file ``path``. An OSError names the file it could
-    not read: the space file or the spec file it names; a ValueError about
-    the spec file starts ``spec <its path>:``."""
+def _load_space(path: str) -> tuple[SweepSpace, Path | None]:
+    """The space in JSON file ``path``, and the path of the spec file it
+    names, if any. An OSError names the file it could not read: the space
+    file or the spec file; a ValueError about the spec file starts
+    ``spec <its path>:``."""
     base_dir = Path(path).parent
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(data, dict):
@@ -249,6 +250,7 @@ def _load_space(path: str) -> SweepSpace:
         raise ValueError(f"space file: unknown key(s) {sorted(unknown)}")
     if ("base" in data) == ("spec_file" in data):
         raise ValueError("space file needs exactly one of 'base' or 'spec_file'")
+    spec_path = None
     if "base" in data:
         name = checked_str(data["base"], "space file: base")
         if name not in PRESETS:
@@ -309,13 +311,14 @@ def _load_space(path: str) -> SweepSpace:
         kwargs["cap"] = checked_int(data["cap"], "space file: cap")
         if kwargs["cap"] < 1:
             raise ValueError(f"space file: cap must be >= 1, got {kwargs['cap']}")
-    return SweepSpace(
+    space = SweepSpace(
         base_name=base_name,
         base_spec=base_spec,
         base_eval=base_eval,
         axes=tuple(axes),
         **kwargs,
     )
+    return space, spec_path
 
 
 def _write_atomic(path: Path, data: str) -> None:
@@ -387,10 +390,7 @@ def _frontier_rows(
 def _series_label(space: SweepSpace, transforms: Sequence) -> str:
     if len(space.axes) == 1:
         return space.axes[0].kind.value
-    parts = []
-    for axis, transform in list(zip(space.axes, transforms))[:-1]:
-        parts.append(f"{axis.kind.value}={transform.parameter}")
-    return ";".join(parts)
+    return ";".join(map(transform_token, transforms[:-1]))
 
 
 def _safe_filename(config_id: str) -> str:
@@ -429,10 +429,12 @@ def _manifest(
 
 def _cmd_sweep(args: argparse.Namespace, argv: Sequence[str]) -> int:
     with _reading("space", args.space):
-        space = _load_space(args.space)
+        space, spec_path = _load_space(args.space)
 
     table = AnnotationTable()
     input_files = [Path(args.space)]
+    if spec_path is not None:
+        input_files.append(spec_path)
     if args.annotations:
         with _reading("annotations", args.annotations):
             table = AnnotationTable.from_csv(args.annotations)

@@ -21,7 +21,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import groupby, product
 from pathlib import Path
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .arch import ArchSpec, EvalConfig, ViTSpec
 from .cost import (
@@ -412,8 +412,10 @@ def match_flops_budget(
     """Find the discrete knob value whose FLOPs are closest to the target.
 
     The knob must be one FLOPs-monotone transform kind (depth, hidden, mlp,
-    resolution). Bisection over the discrete range takes at most 64 steps;
-    ties between equally-close values resolve to the smaller knob value.
+    resolution). Each bisection over the discrete range takes at most 64
+    steps: one lifts a CNN resolution range to its first feasible value,
+    the others find the target. Ties between equally-close values resolve
+    to the smaller knob value.
     ``tol`` is relative; when given and missed, the bracketing pair around
     the target is attached. ``relaxed_value`` is the interpolated continuous
     knob value that would hit the target exactly.
@@ -449,18 +451,34 @@ def match_flops_budget(
             cache[value] = (config, cost_report(config.spec, config.eval).flops)
         return cache[value]
 
-    # For CNN resolution knobs, small values can be infeasible: lift the
-    # lower bound to the first value that propagates.
-    feas_lo = lo
-    while feas_lo <= hi:
+    def first_meeting(meets: Callable[[int], bool], lo_v: int, hi_v: int) -> int:
+        """Smallest value in [lo_v, hi_v] that ``meets``, which ``hi_v``
+        does; every value above one that meets it must meet it too."""
+        if meets(lo_v):
+            return lo_v
+        for _ in range(MAX_BISECTION_ITERATIONS):
+            if hi_v - lo_v <= step:
+                break
+            mid = lo_v + ((hi_v - lo_v) // (2 * step)) * step
+            if meets(mid):
+                hi_v = mid
+            else:
+                lo_v = mid
+        return hi_v
+
+    def feasible(value: int) -> bool:
         try:
-            flops_at(feas_lo)
-            break
+            flops_at(value)
         except InfeasibleResolution:
-            feas_lo += step
-    if feas_lo > hi:
+            return False
+        return True
+
+    # For CNN resolution knobs, small values can be infeasible. No window's
+    # output shrinks as its input grows, so the feasible values run up to
+    # hi: lift the lower bound to the first of them.
+    if not feasible(hi):
         raise ValueError(f"no feasible knob value in [{lo}, {hi}]")
-    lo = feas_lo
+    lo = first_meeting(feasible, lo, hi)
 
     _, f_lo = flops_at(lo)
     _, f_hi = flops_at(hi)
@@ -470,18 +488,7 @@ def match_flops_budget(
     def first_reaching(flops: int, hi_v: int) -> int:
         """Smallest value in [lo, hi_v] whose FLOPs reach ``flops``, which
         those of ``hi_v`` do (FLOPs are monotone increasing)."""
-        lo_v = lo
-        if flops_at(lo_v)[1] >= flops:
-            return lo_v
-        for _ in range(MAX_BISECTION_ITERATIONS):
-            if hi_v - lo_v <= step:
-                break
-            mid = lo_v + ((hi_v - lo_v) // (2 * step)) * step
-            if flops_at(mid)[1] >= flops:
-                hi_v = mid
-            else:
-                lo_v = mid
-        return hi_v
+        return first_meeting(lambda v: flops_at(v)[1] >= flops, lo, hi_v)
 
     upper = first_reaching(target_flops, hi)
     lower = max(lo, upper - step)

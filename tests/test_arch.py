@@ -1,5 +1,7 @@
 """Spec records (named tuples), validation, and JSON (de)serialization."""
 
+import subprocess
+import sys
 from typing import NamedTuple
 
 import pytest
@@ -22,6 +24,7 @@ from visioncost.arch import (
     TensorShape,
     ViTSpec,
     dtype_from_name,
+    save_spec,
     spec_from_dict,
     spec_from_json,
     spec_to_dict,
@@ -30,6 +33,8 @@ from visioncost.arch import (
     validate_spec,
     validate_vit,
 )
+from visioncost.cost import InfeasibleResolution, ShapeMismatch, cost_report
+from visioncost.presets import resnet50
 
 
 def tiny_cnn(**overrides):
@@ -127,10 +132,73 @@ class TestCnnValidation:
         spec = tiny_cnn(layers=(Conv2d(3, 8, kernel=3, stride=0),))
         assert validate_cnn(spec)
 
-    def test_infeasible_at_all_probe_sizes_is_a_violation(self):
-        # kernel too large for any probe resolution, no padding
+    def test_kernel_wider_than_the_input_is_left_to_the_cost_walk(self):
+        # a 9999-pixel kernel fits an input of 9999 pixels or more: the spec
+        # is valid, and the walk rejects the resolutions it does not fit
         spec = tiny_cnn(layers=(Conv2d(3, 8, kernel=9999),))
-        assert validate_cnn(spec)
+        assert validate_cnn(spec) == []
+        with pytest.raises(InfeasibleResolution) as exc:
+            cost_report(spec, EvalConfig(input_resolution=224))
+        assert exc.value.layer_index == 0
+        assert cost_report(spec, EvalConfig(input_resolution=9999)).flops > 0
+
+    def test_violations_in_layer_order(self):
+        # the spec's own fault first, then each layer's, its field faults
+        # and its channel faults together
+        spec = CnnSpec("bad", 0, (
+            Conv2d(3, 8, kernel=0),
+            BatchNorm(16),
+            Conv2d(8, 8, kernel=3, padding=-1),
+        ))
+        assert [tuple(v) for v in validate_cnn(spec)] == [
+            (None, "input_channels must be >= 1, got 0"),
+            (0, "kernel must be >= 1, got 0"),
+            (0, "in_ch 3 does not match input channels 0"),
+            (1, "ch 16 does not match input channels 8"),
+            (2, "padding must be >= 0, got -1"),
+        ]
+
+    @pytest.mark.parametrize(
+        "widen, side", [(Resize(2), 2), (Pool("max", kernel=1, padding=1), 3)]
+    )
+    def test_fan_in_after_widening_the_pooled_map(self, widen, side):
+        # a resize or a padded pool widens the pooled 1x1 map at any input
+        # resolution: the classifier reads side * side * 16 inputs
+        fan_in = side * side * 16
+        spec = tiny_cnn(layers=tiny_cnn().layers[:-1] + (widen, Linear(fan_in, 10)))
+        assert validate_cnn(spec) == []
+        assert cost_report(spec).per_layer[-1].flops == 2 * fan_in * 10 + 10
+
+    def test_residual_grids_are_left_to_the_cost_walk(self):
+        # stride 2 on one branch only: the grids differ at every resolution
+        # above 1, which the walk reports; the channels agree
+        spec = tiny_cnn(layers=(
+            Conv2d(3, 8, kernel=3, padding=1),
+            Conv2d(8, 8, kernel=1, stride=2),
+            ResidualAdd(source_layer_index=0),
+        ))
+        assert validate_cnn(spec) == []
+        with pytest.raises(ShapeMismatch) as exc:
+            cost_report(spec)
+        assert exc.value.layer_index == 2
+
+    def test_validation_runs_without_the_rest_of_the_package(self, tmp_path):
+        """arch.py imports nothing from the package, so a process that loads
+        it alone validates resnet50 without loading visioncost.cost."""
+        save_spec(resnet50(), tmp_path / "r50.json")
+        code = (
+            "import importlib.util, sys\n"
+            "module_spec = importlib.util.spec_from_file_location('arch', sys.argv[1])\n"
+            "arch = sys.modules['arch'] = importlib.util.module_from_spec(module_spec)\n"
+            "module_spec.loader.exec_module(arch)\n"
+            "print(arch.validate_spec(arch.load_spec(sys.argv[2])))\n"
+            "print(sorted(m for m in sys.modules if m.startswith('visioncost')))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code, arch.__file__, str(tmp_path / "r50.json")],
+            capture_output=True, text=True, check=True,
+        ).stdout
+        assert out == "[]\n[]\n"
 
 
 class TestViTValidation:

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import logging
@@ -17,7 +18,8 @@ from hypothesis import strategies as st
 import visioncost.cli
 import visioncost.search
 from visioncost.arch import (
-    CnnSpec, Conv2d, EvalConfig, FlopConvention, GlobalPool, Linear, save_spec, spec_to_dict,
+    CnnSpec, Conv2d, EvalConfig, FlopConvention, GlobalPool, Linear, ResidualAdd, save_spec,
+    spec_to_dict,
 )
 from visioncost.cli import main
 from visioncost.cost import cost_report, report_to_dict
@@ -144,6 +146,61 @@ class TestCost:
         code, _, err = run("cost", p, "--resolution", 4)
         assert code == 3
         assert json.loads(err)["error"] == "infeasible_resolution"
+
+    def test_flattening_classifier_costs_at_the_resolution_it_fits(self, run, tmp_path):
+        # a VGG-style head: it flattens the 8x112x112 map of a 224-pixel input
+        spec = CnnSpec(
+            "flat", 3, (Conv2d(3, 8, kernel=3, stride=2, padding=1), Linear(100352, 10))
+        )
+        p = tmp_path / "flat.json"
+        save_spec(spec, p)
+        code, out, err = run("cost", p, "--resolution", 224)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["per_layer"][1]["flops"] == 2 * 100352 * 10 + 10
+        code, out, err = run("cost", p, "--resolution", 128)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "shape_mismatch",
+            "message": "layer 1: in_features 100352 does not match flattened input size 32768",
+            "layer_index": 1,
+        }
+
+    def test_kernel_wider_than_the_default_input(self, run, tmp_path):
+        spec = CnnSpec("k5000", 3, (Conv2d(3, 8, kernel=5000), GlobalPool(), Linear(8, 10)))
+        p = tmp_path / "k5000.json"
+        save_spec(spec, p)
+        code, out, err = run("cost", p, "--resolution", 9000)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["per_layer"][0]["out_shape"] == "8x4001x4001"
+        code, out, err = run("cost", p)
+        assert (code, out) == (3, "")
+        payload = json.loads(err)
+        assert (payload["error"], payload["layer_index"]) == ("infeasible_resolution", 0)
+
+    @pytest.mark.parametrize("resolution, code", [(224, 0), (225, 2)])
+    def test_residual_grids_checked_at_the_costed_resolution(
+        self, run, tmp_path, resolution, code
+    ):
+        # a 3x3 stride-2 pad-1 conv halves a side rounding up, a 2x2
+        # stride-2 one rounding down: the two branches agree on even sides
+        spec = CnnSpec("res", 3, (
+            Conv2d(3, 8, kernel=3, padding=1),
+            Conv2d(8, 8, kernel=3, stride=2, padding=1),
+            Conv2d(8, 8, kernel=2, stride=2, input_layer_index=0),
+            ResidualAdd(source_layer_index=1),
+        ))
+        p = tmp_path / "res.json"
+        save_spec(spec, p)
+        got, out, err = run("cost", p, "--resolution", resolution)
+        assert got == code
+        if code:
+            assert out == ""
+            assert json.loads(err) == {
+                "error": "shape_mismatch",
+                "message": "layer 3: residual source layer 1 shape (8, 113, 113) "
+                "does not match current shape (8, 112, 112)",
+                "layer_index": 3,
+            }
 
     @pytest.mark.parametrize(
         "base, path, value, message",
@@ -363,6 +420,21 @@ class TestSweep:
         series = [r.split("\t")[0] for r in rows]
         assert series == ["N=9", "N=9", "N=11", "N=11"]
 
+    def test_plot_series_use_config_id_tokens(self, run, tmp_path):
+        space = tmp_path / "space.json"
+        space.write_text(json.dumps({"base": "resnet50", "axes": [
+            {"kind": "dtype", "values": ["FP16", "fp32"]},
+            {"kind": "width", "values": [1.0, 0.5]},
+            {"kind": "N", "values": [32]},
+        ]}))
+        out_dir = tmp_path / "out"
+        assert run("sweep", space, "--out", out_dir)[0] == 0
+        rows = [r.split("\t") for r in (out_dir / "plot.tsv").read_text().splitlines()[1:]]
+        assert [series for series, *_ in rows] == [
+            "dtype=fp16;width=1", "dtype=fp16;width=0.5", "dtype=fp32;width=1", "dtype=fp32;width=0.5",
+        ]
+        assert [f"resnet50;{series};N=32" for series, *_ in rows] == [r[1] for r in rows]
+
     def test_spec_file_base_resolves_relative(self, run, tmp_path):
         save_spec(resnet50(), tmp_path / "net.json")
         space = tmp_path / "space.json"
@@ -380,6 +452,12 @@ class TestSweep:
         assert code == 0
         rows = (out_dir / "frontier.csv").read_text().splitlines()[1:]
         assert [r.split(",")[0] for r in rows] == ["resnet50;width=1", "resnet50;width=0.5"]
+        # the manifest hashes the spec file under the path it was read from
+        inputs = json.loads((out_dir / "manifest.json").read_text())["inputs"]
+        assert inputs == {
+            str(p): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in (space, tmp_path / "net.json")
+        }
 
     @pytest.mark.parametrize("name", ["nope.json", "."])
     def test_unreadable_spec_file_is_named(self, run, tmp_path, name):
@@ -630,6 +708,25 @@ class TestSweep:
         assert json.loads((out_dir / "manifest.json").read_text())["skipped"] == 1
         reports = [p.name for p in (out_dir / "reports").iterdir()]
         assert len(reports) == 1 and reports[0].startswith("strict_N_32-")
+
+    def test_flattening_classifier_skips_the_resolutions_it_does_not_fit(
+        self, run, tmp_path, caplog
+    ):
+        spec = CnnSpec(
+            "flat", 3, (Conv2d(3, 8, kernel=3, stride=2, padding=1), Linear(100352, 10))
+        )
+        save_spec(spec, tmp_path / "flat.json")
+        space = tmp_path / "space.json"
+        space.write_text(
+            json.dumps({"spec_file": "flat.json", "axes": [{"kind": "N", "values": [224, 112]}]})
+        )
+        out_dir = tmp_path / "out"
+        code, out, _ = run("sweep", space, "--out", out_dir)
+        assert code == 0
+        assert "wrote 1 configs (1 skipped)" in out
+        assert "skipping (112,): layer 1: in_features 100352 does not match" in caplog.text
+        rows = (out_dir / "frontier.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[0] for r in rows] == ["flat;N=224"]
 
     @pytest.mark.parametrize(
         "kind, value",

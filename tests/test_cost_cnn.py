@@ -201,7 +201,7 @@ class TestWalk:
             assert sum(c.param_count for c in rep.per_layer) == want_params
 
     def test_param_count_needs_no_feasible_resolution(self):
-        # a 5000-pixel kernel fits none of the probe resolutions (up to 4096);
+        # a 5000-pixel kernel fits no input below 5000 pixels;
         # the rows' parameter counts are the same at any input it does fit
         spec = stack(Conv2d(3, 8, kernel=5000), GlobalPool(), Linear(8, 10))
         with pytest.raises(InfeasibleResolution):

@@ -19,6 +19,7 @@ from visioncost.scaling import ScalingError, ScalingTransform, TransformKind, ma
 from visioncost.search import (
     AnnotationTable,
     FrontierPoint,
+    MAX_BISECTION_ITERATIONS,
     NoFeasibleCandidate,
     SkippedConfig,
     SpaceTooLarge,
@@ -107,7 +108,7 @@ class TestEnumerate:
         assert [s.values for s in skipped] == [(0,)]
 
     def test_cnn_resolution_a_flattening_classifier_does_not_fit_is_skipped(self):
-        # valid at the 64-pixel probe only: the linear layer reads 2*62*62 inputs
+        # the linear layer reads the 2*62*62 map of a 64-pixel input only
         spec = CnnSpec("flat", 3, (Conv2d(3, 2, kernel=3), Linear(2 * 62 * 62, 10)))
         space = SweepSpace("flat", spec, EvalConfig(), (SweepAxis(K.RESOLUTION, (64, 32)),))
         enum = enumerate_space(space)
@@ -425,6 +426,27 @@ class TestBudgetMatcher:
             want = min(flops, key=lambda v: (abs(flops[v] - target), v))
             assert res.config.transforms[0].parameter == want, target
             assert res.flops == flops[want]
+
+    def test_infeasible_resolutions_lift_the_range_by_bisection(self, monkeypatch):
+        # a 100,000-pixel kernel fits no smaller input: the lift finds the
+        # first feasible value in a few dozen walks, not one per value below
+        spec = CnnSpec("wide", 3, (Conv2d(3, 1, kernel=100_000), GlobalPool(), Linear(1, 1)))
+        walked = []
+
+        def counting(spec, cfg=None):
+            walked.append(cfg.input_resolution)
+            return cost_report(spec, cfg)
+
+        monkeypatch.setattr(visioncost.search, "cost_report", counting)
+        first = cost_report(spec, EvalConfig(input_resolution=100_000)).flops
+        res = match_flops_budget(spec, EvalConfig(), K.RESOLUTION, first, value_range=(1, 10**6))
+        assert res.config.config_id == "base;N=100000" and res.flops == first
+        assert len(walked) <= 2 * MAX_BISECTION_ITERATIONS + 4
+        with pytest.raises(TargetUnreachable) as exc:
+            match_flops_budget(spec, EvalConfig(), K.RESOLUTION, 1, value_range=(1, 10**6))
+        assert exc.value.attainable[0] == first
+        with pytest.raises(ValueError, match=r"no feasible knob value in \[1, 99999\]"):
+            match_flops_budget(spec, EvalConfig(), K.RESOLUTION, first, value_range=(1, 99_999))
 
     def test_hidden_values_stay_on_head_multiples(self):
         res = match_flops_budget(
