@@ -11,9 +11,10 @@ read inside ``_reading``, which turns any failure to read or decode it into
 one. ``main`` reports each error once: one JSON line on stderr.
 
 Outputs are byte-deterministic for identical inputs (the run manifest's
-timestamp aside). ``sweep`` writes its CSV, TSV and manifest files atomically
-via temp-and-rename, and builds ``reports/`` in a staging directory that
-replaces the old one whole once every config is costed.
+timestamp aside). ``sweep`` writes all of its output into one staging
+directory inside ``--out`` and commits it by renames once everything is
+written, ``manifest.json`` last; a run that fails before the renames leaves
+the previous output whole.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import contextlib
 import csv
 import functools
 import hashlib
-import io
 import json
 import logging
 import math
@@ -33,7 +33,7 @@ import shutil
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from . import __version__
 from .arch import (
@@ -321,18 +321,12 @@ def _load_space(path: str) -> tuple[SweepSpace, Path | None]:
     return space, spec_path
 
 
-def _write_atomic(path: Path, data: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(data, encoding="utf-8")
-    os.replace(tmp, path)
-
-
-# The names _cmd_sweep stages reports/ under, before and during its swap.
-_STAGING_NAME = re.compile(r"\.reports-[0-9a-f]{12}(\.old)?")
+# The staging directory of a _cmd_sweep run, inside --out.
+_STAGING_NAME = re.compile(r"\.sweep-[0-9a-f]{12}")
 
 
 def _remove_stale_staging(out_dir: Path) -> None:
-    """Remove staging directories that a run killed before its swap left."""
+    """Remove staging directories that a run killed before its commit left."""
     with os.scandir(out_dir) as entries:
         stale = [
             entry.path
@@ -344,53 +338,23 @@ def _remove_stale_staging(out_dir: Path) -> None:
         logger.warning("removed stale staging directory %s", path)
 
 
-def _swap_in(staged: Path, target: Path) -> None:
-    """Put directory ``staged`` in place of ``target``. POSIX cannot rename
-    onto a non-empty directory, so the old one is moved aside, then removed."""
-    aside = staged.with_name(staged.name + ".old")
-    had_old = target.is_dir()
-    if had_old:
-        target.rename(aside)
-    staged.rename(target)
-    if had_old:
-        shutil.rmtree(aside)
-
-
-def _csv_text(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def _format_metric(value: float | None) -> str:
-    if value is None:
-        return ""
-    return repr(value)
+def _write_table(
+    path: Path, header: Sequence[str], rows: Iterable[Sequence[Any]], delimiter: str = ","
+) -> None:
+    with path.open("w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f, delimiter=delimiter, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _frontier_rows(
-    points: Sequence[FrontierPoint], metrics: Sequence[str]
-) -> list[list[Any]]:
-    rows = []
+    points: Iterable[FrontierPoint], metrics: Sequence[str]
+) -> Iterator[list[Any]]:
+    """Each point's FRONTIER_COLUMNS, then its value of each metric (blank
+    when it has none)."""
     for p in points:
-        row: list[Any] = [
-            p.config_id,
-            p.flops,
-            p.peak_activation_bytes,
-            p.model_bytes,
-            p.total_memory_bytes,
-        ]
-        row.extend(_format_metric(p.annotations.get(m)) for m in metrics)
-        rows.append(row)
-    return rows
-
-
-def _series_label(space: SweepSpace, transforms: Sequence) -> str:
-    if len(space.axes) == 1:
-        return space.axes[0].kind.value
-    return ";".join(map(transform_token, transforms[:-1]))
+        values = p.annotations
+        yield [*p[:-1], *(repr(values[m]) if m in values else "" for m in metrics)]
 
 
 def _safe_filename(config_id: str) -> str:
@@ -399,10 +363,6 @@ def _safe_filename(config_id: str) -> str:
     digest = hashlib.sha256(config_id.encode("utf-8")).hexdigest()[:8]
     safe = re.sub(r"[^A-Za-z0-9._-]+", "_", config_id).strip("_")[:100]
     return f"{safe}-{digest}.json"
-
-
-def _sha256_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _eval_to_dict(cfg: EvalConfig) -> dict[str, Any]:
@@ -421,7 +381,7 @@ def _manifest(
         "tool": "visioncost",
         "version": __version__,
         "command": list(command),
-        "inputs": {str(p): _sha256_file(p) for p in inputs},
+        "inputs": {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in inputs},
         "eval": _eval_to_dict(cfg),
         "generated_at": datetime.now(timezone.utc).isoformat(),
     }
@@ -449,61 +409,64 @@ def _cmd_sweep(args: argparse.Namespace, argv: Sequence[str]) -> int:
         raise CliError(EXIT_VALIDATION, "space_too_large", str(exc)) from None
 
     # Each config is costed once and its report written at once; only its
-    # frontier point and plot series stay in memory. The reports go to a
-    # staging directory, made once a config is costed (a run that rejects
-    # every combination leaves an earlier run's output as it was), that
-    # replaces reports/ after the loop: a failed run leaves the old ones.
+    # frontier point stays in memory. Every output is written into a staging
+    # directory, made once a config is costed (a run that rejects every
+    # combination leaves an earlier run's output as it was), and committed
+    # by renames after the last write: a run that fails before them leaves
+    # the previous output whole.
     annotations = table.by_config()
     out_dir = Path(args.out)
     staging: Path | None = None
     points: list[FrontierPoint] = []
-    series: list[str] = []
     try:
         for config, report in evaluated:
             if staging is None:
-                out_dir.mkdir(parents=True, exist_ok=True)
                 # Not mkdtemp: reports/ keeps the umask's mode, not 0o700.
-                staging = out_dir / f".reports-{os.urandom(6).hex()}"
-                staging.mkdir()
+                staging = out_dir / f".sweep-{os.urandom(6).hex()}"
+                (staging / "reports").mkdir(parents=True)
             cid = config.config_id
             point = point_from_report(cid, report, annotations.get(cid))
             points.append(point)
-            series.append(_series_label(space, config.transforms))
             head = json.dumps(
                 {"config_id": cid, "annotations": dict(sorted(point.annotations.items()))},
                 separators=(",", ":"),
             )
             text = f'{head[:-1]},"report":{report_to_json(report, indent=None)}}}\n'
-            (staging / _safe_filename(cid)).write_text(text, encoding="utf-8")
+            (staging / "reports" / _safe_filename(cid)).write_text(text, encoding="utf-8")
         if staging is None:
             raise CliError(
                 EXIT_INFEASIBLE, "infeasible", "every combination in the space was rejected"
             )
-        _swap_in(staging, out_dir / "reports")
-        _remove_stale_staging(out_dir)
 
         metrics = table.metrics()
         pareto = pareto_front(points)
         header = list(FRONTIER_COLUMNS) + metrics
-        _write_atomic(out_dir / "frontier.csv", _csv_text(header, _frontier_rows(points, metrics)))
-        _write_atomic(out_dir / "pareto.csv", _csv_text(header, _frontier_rows(pareto, metrics)))
-
-        buf = io.StringIO()
-        tsv = csv.writer(buf, delimiter="\t", lineterminator="\n")
-        tsv.writerow(["series"] + list(FRONTIER_COLUMNS))
-        tsv.writerows(
-            [label] + row for label, row in zip(series, _frontier_rows(points, []))
-        )
-        _write_atomic(out_dir / "plot.tsv", buf.getvalue())
-
+        _write_table(staging / "frontier.csv", header, _frontier_rows(points, metrics))
+        _write_table(staging / "pareto.csv", header, _frontier_rows(pareto, metrics))
+        # A plot series is labelled by the config-id tokens of every axis but
+        # the last (a base name may hold ";", a token never does), or, with
+        # one axis, by its kind.
+        n, kind = len(space.axes), space.axes[0].kind.value
+        plot_rows = ([";".join(p.config_id.rsplit(";", n)[1:-1]) or kind, *p[:-1]] for p in points)
+        _write_table(staging / "plot.tsv", ["series", *FRONTIER_COLUMNS], plot_rows, delimiter="\t")
         manifest = _manifest(argv, input_files, space.base_eval)
-        manifest["configs"] = len(points)
-        manifest["skipped"] = len(skipped)
-        _write_atomic(out_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
+        manifest.update(configs=len(points), skipped=len(skipped))
+        manifest_text = json.dumps(manifest, indent=2) + "\n"
+        (staging / "manifest.json").write_text(manifest_text, encoding="utf-8")
+
+        # POSIX cannot rename onto a non-empty directory: the old reports/
+        # moves into the staging directory and goes with it.
+        if (out_dir / "reports").is_dir():
+            (out_dir / "reports").rename(staging / "reports.old")
+        # The manifest last: once it is in place, so is what it describes.
+        for name in ("reports", "frontier.csv", "pareto.csv", "plot.tsv", "manifest.json"):
+            os.replace(staging / name, out_dir / name)
+        shutil.rmtree(staging)
+        _remove_stale_staging(out_dir)  # after the removal: this run's is not stale
     except OSError as exc:
         raise CliError(EXIT_IO, "io", f"cannot write to {out_dir}: {exc}") from None
     finally:
-        if staging is not None:  # already gone once swapped in
+        if staging is not None:  # already gone after a commit
             shutil.rmtree(staging, ignore_errors=True)
 
     print(

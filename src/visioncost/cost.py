@@ -70,7 +70,16 @@ class ShapeMismatch(Exception):
 
 
 class CountTooLarge(ValueError):
-    """A report total has more decimal digits than Python may write out."""
+    """A report would have more than MAX_REPORT_ROWS rows, or a total with
+    more decimal digits than Python may write out."""
+
+
+# The most rows a report may have, checked before any row is built. A row
+# costs about 0.8 KiB at the peak of ``cost``, JSON text included (measured
+# on vit_small: 0.79 KiB at depth 20,000 under full_count, 0.75 KiB at depth
+# 200,000 under closed_form), so a report at the cap peaks near 0.8 GiB. The
+# largest preset report has 175 rows.
+MAX_REPORT_ROWS = 1_000_000
 
 
 class LayerCost(NamedTuple):
@@ -396,14 +405,18 @@ def vit_cost_full(
 def cost_report(spec: ArchSpec, cfg: EvalConfig | None = None) -> CostReport:
     """Full cost report for a spec under the given evaluation settings.
 
-    Raises CountTooLarge when a total has too many digits to be written.
+    Raises CountTooLarge when the report would have more than
+    MAX_REPORT_ROWS rows, or a total has too many digits to be written.
     """
     cfg = cfg or EvalConfig()
-    if isinstance(spec, ViTSpec):
-        if cfg.flop_convention is FlopConvention.FULL_COUNT:
-            per_layer, flops, peak, params = vit_cost_full(spec, cfg)
-        else:
-            per_layer, flops, peak, params = vit_cost_closed(spec, cfg)
+    is_vit = isinstance(spec, ViTSpec)
+    full = cfg.flop_convention is FlopConvention.FULL_COUNT
+    # full_count: 14 operators per block, plus patch embed, final norm, pool, head
+    rows = (14 * spec.depth + 4 if full else spec.depth) if is_vit else len(spec.layers)
+    if rows > MAX_REPORT_ROWS:
+        raise CountTooLarge(f"the report would have more than {MAX_REPORT_ROWS} rows")
+    if is_vit:
+        per_layer, flops, peak, params = (vit_cost_full if full else vit_cost_closed)(spec, cfg)
     else:
         per_layer = tuple(_cnn_walk(spec, cfg))
         flops = sum(c.flops for c in per_layer)

@@ -109,7 +109,9 @@ def _rescale_channels(spec: CnnSpec, scale: Callable[[int, int], int]) -> CnnSpe
 
 def width_scale(spec: CnnSpec, ratio: float) -> CnnSpec:
     """Scale every learned channel count by ``ratio`` (image input stays),
-    rounding half up to a multiple of WIDTH_MULTIPLE, never below it.
+    rounding half up to a multiple of WIDTH_MULTIPLE, never below it. The
+    ratio is read as the shortest decimal that round-trips it (0.35 is
+    7/20), and the product is rounded exactly, at any size.
 
     Group counts are preserved; if rounding makes a grouped conv's channels
     indivisible by its groups, RoundingBreaksGroups is raised.
@@ -120,13 +122,11 @@ def width_scale(spec: CnnSpec, ratio: float) -> CnnSpec:
         raise ScalingError("width ratio must be finite, got inf")
     if ratio == 1.0:
         return spec
-    m = WIDTH_MULTIPLE
-    try:
-        return _rescale_channels(
-            spec, lambda c, _: max(m, m * math.floor(c * ratio / m + 0.5))
-        )
-    except OverflowError:  # c * ratio beyond the largest float
-        raise ScalingError(f"width ratio {ratio} overflows a channel count") from None
+    ratio_q = Fraction(str(ratio))  # the decimal its config-id token shows
+    p, q, m = ratio_q.numerator, ratio_q.denominator, WIDTH_MULTIPLE
+    return _rescale_channels(
+        spec, lambda c, _: max(m, m * ((2 * c * p + q * m) // (2 * q * m)))
+    )
 
 
 def group_width_scale(spec: CnnSpec, group_width: int) -> CnnSpec:

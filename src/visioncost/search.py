@@ -416,8 +416,9 @@ def match_flops_budget(
     steps: one lifts a CNN resolution range to its first feasible value,
     the others find the target. Ties between equally-close values resolve
     to the smaller knob value.
-    ``tol`` is relative; when given and missed, the bracketing pair around
-    the target is attached. ``relaxed_value`` is the interpolated continuous
+    ``tol`` is relative, read as the shortest decimal that round-trips it
+    (0.3 is 3/10); when given and missed, the bracketing pair around the
+    target is attached. ``relaxed_value`` is the interpolated continuous
     knob value that would hit the target exactly.
     """
     if knob not in MATCH_RANGES:
@@ -520,7 +521,7 @@ def match_flops_budget(
     within_tol: bool | None = None
     bracket: tuple[ScaledConfig, ScaledConfig] | None = None
     if tol is not None:
-        within_tol = deviation <= Fraction(tol) * target_flops  # exact past 2**53
+        within_tol = deviation <= Fraction(str(tol)) * target_flops  # exact past 2**53
         if not within_tol:
             bracket = (config_lower, config_upper)
     return MatchResult(

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import visioncost.cli
+import visioncost.cost
 import visioncost.search
 from visioncost.arch import (
     CnnSpec, Conv2d, EvalConfig, FlopConvention, GlobalPool, Linear, ResidualAdd, save_spec,
@@ -67,6 +68,20 @@ def write_space(path, base, *axes, **extra):
     axes = [{"kind": kind, "values": list(values)} for kind, values in axes]
     path.write_text(json.dumps({"base": base, "axes": axes, **extra}))
     return path
+
+
+def fail_writes(monkeypatch, failing):
+    """Make opening sweep output ``failing`` for writing fail with ENOSPC:
+    a file of that name, or any report file for "report"."""
+    real = Path.open
+
+    def open_(path, mode="r", *args, **kwargs):
+        name = "report" if path.parent.name == "reports" else path.name
+        if "w" in mode and name == failing:
+            raise OSError(28, "No space left on device", str(path))
+        return real(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", open_)
 
 
 @pytest.fixture
@@ -582,26 +597,26 @@ class TestSweep:
 
     def test_stale_staging_directories_are_removed(self, run, tmp_path, space_file, caplog):
         out_dir = tmp_path / "out"
-        stale = [".reports-0123456789ab", ".reports-fedcba987654.old"]
-        for name in stale:
-            (out_dir / name / "sub").mkdir(parents=True)
-            (out_dir / name / "sub" / "x.json").write_text("{}")
+        stale = [".sweep-0123456789ab", ".sweep-fedcba987654"]
         kept = {
-            ".reports-0123456789AB": "upper-case hex",
-            ".reports-0123456789abc": "13 digits",
-            ".reports-0123456789ab.older": "other suffix",
-            "reports-0123456789ab": "no dot",
-            "notes.txt": "a user's file",
+            ".sweep-0123456789AB": "upper-case hex",
+            ".sweep-0123456789abc": "13 digits",
+            ".sweep-0123456789ab.old": "other suffix",
+            "sweep-0123456789ab": "no dot",
+            ".reports-0123456789ab": "an older version's staging name",
         }
-        for name, text in kept.items():
-            (out_dir / name).write_text(text)
-        (out_dir / ".reports-00000000000f").write_text("a file, not a staging directory")
+        for name in [*stale, *kept]:
+            (out_dir / name / "sub").mkdir(parents=True)
+            (out_dir / name / "sub" / "x.json").write_text(kept.get(name, "{}"))
+        (out_dir / "notes.txt").write_text("a user's file")
+        (out_dir / ".sweep-00000000000f").write_text("a file, not a staging directory")
         with caplog.at_level(logging.WARNING):
             assert run("sweep", space_file, "--out", out_dir)[0] == 0
         names = {p.name for p in out_dir.iterdir()}
         assert not names & set(stale)
-        assert {name: (out_dir / name).read_text() for name in kept} == kept
-        assert ".reports-00000000000f" in names
+        assert {name: (out_dir / name / "sub" / "x.json").read_text() for name in kept} == kept
+        assert (out_dir / "notes.txt").read_text() == "a user's file"
+        assert ".sweep-00000000000f" in names
         removed = [r.getMessage() for r in caplog.records if "stale staging" in r.getMessage()]
         assert sorted(removed) == sorted(
             f"removed stale staging directory {out_dir / name}" for name in stale
@@ -664,12 +679,16 @@ class TestSweep:
         assert len(warnings) == 2
         assert "(0,)" in warnings[0] and "(-1,)" in warnings[1]
 
-    def test_overflowing_width_is_skipped(self, run, tmp_path, caplog):
+    def test_vast_width_is_costed(self, run, tmp_path):
         space = write_space(tmp_path / "s.json", "resnet50", ("width", [1e308, 0.5]))
-        code, out, _ = run("sweep", space, "--out", tmp_path / "out")
+        out_dir = tmp_path / "out"
+        code, out, _ = run("sweep", space, "--out", out_dir)
         assert code == 0
-        assert "(1 skipped)" in out
-        assert "skipping (1e+308,): width ratio 1e+308 overflows a channel count" in caplog.text
+        assert "wrote 2 configs (0 skipped)" in out
+        rows = list(csv.reader(io.StringIO((out_dir / "frontier.csv").read_text())))
+        config = parse_config_id("resnet50;width=1e+308")
+        want = cost_report(config.spec, config.eval).flops
+        assert rows[1][:2] == ["resnet50;width=1e+308", str(want)]
 
     @pytest.mark.parametrize(
         "name, axis",
@@ -790,7 +809,7 @@ class TestSweep:
             # Same keys in the same order, and every count still an int.
             assert json.dumps(payload["report"]) == json.dumps(want)
             assert type(payload["report"]["flops"]) is int
-        assert not list(out_dir.glob(".reports-*"))
+        assert not list(out_dir.glob(".sweep-*"))
 
     def test_failed_run_leaves_earlier_reports(self, run, tmp_path, space_file, monkeypatch):
         out_dir = tmp_path / "out"
@@ -809,22 +828,14 @@ class TestSweep:
         with pytest.raises(RuntimeError, match="boom"):
             run("sweep", small, "--out", out_dir)
         assert {p: p.read_bytes() for p in out_dir.rglob("*") if p.is_file()} == before
-        assert not list(out_dir.glob(".reports-*"))
+        assert not list(out_dir.glob(".sweep-*"))
 
-    @pytest.mark.parametrize("failing", ["report", "frontier.csv.tmp"])
+    @pytest.mark.parametrize("failing", ["report", "frontier.csv"])
     def test_write_failure_is_io_error(self, run, tmp_path, space_file, monkeypatch, failing):
         out_dir = tmp_path / "out"
         assert run("sweep", space_file, "--out", out_dir)[0] == 0
         reports = {p.name: p.read_bytes() for p in (out_dir / "reports").iterdir()}
-        real = Path.write_text
-
-        def write_text(path, *args, **kwargs):
-            kind = "report" if path.parent.name.startswith(".reports-") else path.name
-            if kind == failing:
-                raise OSError(28, "No space left on device", str(path))
-            return real(path, *args, **kwargs)
-
-        monkeypatch.setattr(Path, "write_text", write_text)
+        fail_writes(monkeypatch, failing)
         code, out, err = run("sweep", space_file, "--out", out_dir)
         assert code == 1
         assert out == ""
@@ -833,7 +844,24 @@ class TestSweep:
         assert payload["error"] == "io"
         assert "No space left on device" in payload["message"]
         assert {p.name: p.read_bytes() for p in (out_dir / "reports").iterdir()} == reports
-        assert not list(out_dir.glob(".reports-*"))
+        assert not list(out_dir.glob(".sweep-*"))
+
+    @pytest.mark.parametrize(
+        "failing", ["report", "frontier.csv", "pareto.csv", "plot.tsv", "manifest.json"]
+    )
+    def test_write_failure_leaves_previous_output(
+        self, run, tmp_path, space_file, monkeypatch, failing
+    ):
+        out_dir = tmp_path / "out"
+        assert run("sweep", space_file, "--out", out_dir)[0] == 0
+        before = {p: p.read_bytes() for p in out_dir.rglob("*") if p.is_file()}
+        # Other configs, so output mixed from the two runs would show.
+        other = write_space(tmp_path / "other.json", "vit_small", ("depth", [2, 4, 6]))
+        fail_writes(monkeypatch, failing)
+        assert run("sweep", other, "--out", out_dir)[0] == 1
+        assert {p: p.read_bytes() for p in out_dir.rglob("*") if p.is_file()} == before
+        assert not list(out_dir.glob(".sweep-*"))
+        assert not list(out_dir.rglob("*.tmp"))
 
     def test_duplicate_annotation_rejected(self, run, tmp_path, space_file):
         ann = tmp_path / "dup.csv"
@@ -1040,6 +1068,59 @@ class TestCountTooLarge:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert (manifest["configs"], manifest["skipped"]) == (1, 1)
 
+    @pytest.mark.parametrize("command", ["cost", "match"])
+    def test_deep_spec_exits_2_before_any_row_is_built(self, tmp_path, command):
+        # depth 2**70: building its rows would end in a MemoryError, so the
+        # child's address space is capped at 1 GiB in case the cap fails.
+        save_spec(vit_small()._replace(depth=2**70), tmp_path / "deep.json")
+        extra = ["--knob", "hidden", "--target-flops", "1000"] if command == "match" else []
+        code = (
+            "import resource, sys; from visioncost.cli import main; "
+            "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)); "
+            "sys.exit(main(sys.argv[1:]))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(visioncost.cli.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-c", code, command, str(tmp_path / "deep.json"), *extra],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        _assert_one_error_line(done.returncode, done.stdout, done.stderr)
+        assert done.returncode == 2
+        assert json.loads(done.stderr) == {
+            "error": "count_too_large",
+            "message": "the report would have more than 1000000 rows",
+        }
+
+    @pytest.mark.parametrize(
+        "convention, cap", [("closed_form", 6), ("full_count", 14 * 6 + 4)]
+    )
+    def test_rows_past_the_cap_are_refused(
+        self, run, tmp_path, monkeypatch, caplog, convention, cap
+    ):
+        monkeypatch.setattr(visioncost.cost, "MAX_REPORT_ROWS", cap)
+        space = write_space(
+            tmp_path / "s.json", "vit_small", ("depth", [6, 7]),
+            eval={"flop_convention": convention},
+        )
+        with caplog.at_level(logging.WARNING):
+            code, out, _ = run("sweep", space, "--out", tmp_path / "out")
+        assert (code, out.split(",")[0]) == (0, "wrote 1 configs (1 skipped)")
+        skips = [r.getMessage() for r in caplog.records if "skipping" in r.getMessage()]
+        assert skips == [f"skipping (7,): the report would have more than {cap} rows"]
+        spec = tmp_path / "deep.json"
+        save_spec(vit_small()._replace(depth=7), spec)
+        code, out, err = run("cost", spec, "--convention", convention)
+        _assert_one_error_line(code, out, err)
+        assert json.loads(err)["error"] == "count_too_large"
+
+    def test_cnn_rows_past_the_cap_are_refused(self, run, tmp_path, monkeypatch):
+        spec = resnet50()
+        monkeypatch.setattr(visioncost.cost, "MAX_REPORT_ROWS", len(spec.layers) - 1)
+        save_spec(spec, tmp_path / "r50.json")
+        code, out, err = run("cost", tmp_path / "r50.json")
+        _assert_one_error_line(code, out, err)
+        assert json.loads(err)["error"] == "count_too_large"
+
     def test_hidden_axis_past_the_limit_is_skipped(self, run, tmp_path, caplog):
         # hidden 10**2200: its FLOPs (a hidden**2 term) have about 4400 digits
         space = write_space(tmp_path / "s.json", "vit_small", ("hidden", [10**2200]))
@@ -1229,6 +1310,16 @@ class TestMatch:
         payload = json.loads(out)
         assert payload["within_tol"] is False
         assert len(payload["bracket"]) == 2
+
+    def test_tolerance_is_the_decimal_written(self, run, vit_file):
+        # depth 1 misses the target by 248,538,528: exactly 3/10 of it
+        code, out, _ = run(
+            "match", vit_file, "--knob", "depth", "--target-flops", 828_461_760, "--tol", "0.3",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["value"], payload["deviation"]) == (1, 248_538_528)
+        assert payload["within_tol"] is True and payload["bracket"] is None
 
     def test_range_too_wide_to_bisect(self, run, vit_file):
         code, out, err = run(

@@ -75,6 +75,13 @@ class TestRounding:
         assert width_of(1000, 0.0599) == 56  # 59.9
         assert width_of(100, 0.03) == 8  # 3 clamps up to one full multiple
 
+    def test_width_rounds_the_written_decimal_exactly(self):
+        # 720 * 0.35 is 252, halfway between 248 and 256: half up gives 256
+        # (in floats the product is 251.99999999999997).
+        assert width_of(720, 0.35) == 256
+        # Past 2**53 every channel stays exact.
+        assert width_of(2**60 + 16, 0.5) == 2**59 + 8
+
 
 class TestWidth:
     def test_half_quarters_channel_to_channel_convs(self):
@@ -120,17 +127,26 @@ class TestWidth:
         with pytest.raises(ScalingError):
             arch_apply(conv_stack(), ScalingTransform(K.WIDTH, 0.0))
 
-    @pytest.mark.parametrize(
-        "ratio", [float("nan"), float("inf"), 1e308, 10**400], ids=["nan", "inf", "1e308", "10**400"]
-    )
+    @pytest.mark.parametrize("ratio", [float("nan"), float("inf")], ids=["nan", "inf"])
     def test_non_finite_or_overflowing_ratio_rejected(self, ratio):
         with pytest.raises(ScalingError):
             width_scale(resnet50(), ratio)
 
-    @pytest.mark.parametrize("value", ["inf", "nan", "1e308"])
+    @pytest.mark.parametrize(
+        "ratio, exact", [(1e308, 10**308), (10**400, 10**400)], ids=["1e308", "10**400"]
+    )
+    def test_vast_ratio_scales_exactly(self, ratio, exact):
+        assert width_of(64, ratio) == 64 * exact
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_config_id_with_unusable_width_rejected(self, value):
         with pytest.raises(ScalingError):
             parse_config_id(f"resnet50;width={value}")
+
+    def test_config_id_with_vast_width_parses(self):
+        config = parse_config_id("resnet50;width=1e308")
+        assert config.config_id == "resnet50;width=1e+308"
+        assert config.spec.layers[0].out_ch == 64 * 10**308
 
 
 class TestGroupWidth:
