@@ -37,7 +37,6 @@ from .arch import (
     Activation,
     ArchSpec,
     BatchNorm,
-    CnnLayer,
     CnnSpec,
     Conv2d,
     EvalConfig,
@@ -133,136 +132,136 @@ def conv_flops(layer: Conv2d, out_h: int, out_w: int, batch: int = 1) -> int:
     return flops
 
 
-def _layer_params(layer: CnnLayer) -> int:
-    """Learned parameters of one CNN layer, at any input resolution."""
-    if isinstance(layer, Conv2d):
-        params = (layer.in_ch // layer.groups) * layer.out_ch * layer.kernel ** 2
-        return params + (layer.out_ch if layer.has_bias else 0)
-    if isinstance(layer, BatchNorm):
-        return 2 * layer.ch
-    if isinstance(layer, Linear):
-        return layer.in_features * layer.out_features + layer.out_features
-    return 0
+# Builds a LayerCost from a tuple of its fields in C, without the Python-level
+# NamedTuple ``__new__``: a fifth of the CNN walk's time on ResNet-50.
+_new_tuple = tuple.__new__
 
 
-def _cnn_walk(spec: CnnSpec, cfg: EvalConfig) -> list[LayerCost]:
+def _cnn_walk(
+    spec: CnnSpec, cfg: EvalConfig
+) -> tuple[tuple[LayerCost, ...], int, int, int]:
+    """Walk the layers once, building the rows and the totals together:
+    ``(per_layer, flops, peak_activation_bytes, param_count)``.
+
+    Raises InfeasibleResolution where a window does not fit the input, and
+    ShapeMismatch where channels, residual grids or a flattened map do not
+    match, at the first such layer. Branches are ordered by how often the
+    kinds occur in the presets.
+    """
     res = cfg.resolution_for(spec)
     b = cfg.batch_size
-    e = cfg.dtype.bytes_per_element
-    input_shape = (spec.input_channels, res, res)
-    shapes: list[tuple[int, int, int]] = []  # (c, h, w) per layer output
-    tensor_shapes: dict[tuple[int, ...], TensorShape] = {}  # one per distinct shape
-    costs: list[LayerCost] = []
-
-    def elems(shape: tuple[int, int, int]) -> int:
-        return shape[0] * shape[1] * shape[2]
+    be = b * cfg.dtype.bytes_per_element
+    shape = (spec.input_channels, res, res)  # (c, h, w) of the current map
+    size = spec.input_channels * res * res  # its element count
+    shapes: list[tuple[int, int, int]] = []  # per layer output
+    sizes: list[int] = []
+    tensor_shapes: dict[tuple[int, ...], TensorShape] = {}  # one per distinct dims
+    rows: list[LayerCost] = []
+    flops = params = 0
+    peak = float("-inf")  # the largest row, even a negative one of an unvalidated spec
 
     for i, layer in enumerate(spec.layers):
-        prev = shapes[i - 1] if i > 0 else input_shape
-        in_shapes = [prev]
-        flops = 0
-        name = ""
-
-        if isinstance(layer, Conv2d):
-            src = prev
-            if layer.input_layer_index is not None:
-                src = shapes[layer.input_layer_index]
-            in_shapes = [src]
-            c, h, w = src
-            if c != layer.in_ch:
-                raise ShapeMismatch(
-                    i, f"in_ch {layer.in_ch} does not match input channels {c}"
-                )
-            oh = conv_out_side(h, layer.kernel, layer.stride, layer.padding, layer.dilation)
-            ow = conv_out_side(w, layer.kernel, layer.stride, layer.padding, layer.dilation)
+        kind = type(layer)
+        out, out_size, w = shape, size, 0  # what the shape-keeping kinds leave
+        if kind is Conv2d:
+            in_ch, out_ch, k, stride, pad, groups, dil, bias, src = layer
+            c, h, wd = shape if src is None else shapes[src]
+            in_size = size if src is None else sizes[src]
+            if c != in_ch:
+                raise ShapeMismatch(i, f"in_ch {in_ch} does not match input channels {c}")
+            oh = conv_out_side(h, k, stride, pad, dil)
+            ow = conv_out_side(wd, k, stride, pad, dil)
             if oh < 1 or ow < 1:
                 raise InfeasibleResolution(
-                    i, f"conv output side {min(oh, ow)} < 1 at input {h}x{w}"
+                    i, f"conv output side {min(oh, ow)} < 1 at input {h}x{wd}"
                 )
-            out = (layer.out_ch, oh, ow)
-            flops = conv_flops(layer, oh, ow, b)
+            out = (out_ch, oh, ow)
+            out_size = out_ch * oh * ow
+            f = conv_flops(layer, oh, ow, b)
+            w = (in_ch // groups) * out_ch * k * k + (out_ch if bias else 0)
+            act = in_size + out_size
             name = "conv2d"
-        elif isinstance(layer, Pool):
-            c, h, w = prev
+        elif kind is BatchNorm:
+            if shape[0] != layer.ch:
+                raise ShapeMismatch(i, f"ch {layer.ch} does not match input channels {shape[0]}")
+            f = 2 * b * size
+            w = 2 * layer.ch
+            act = 2 * size
+            name = "batch_norm"
+        elif kind is Activation:
+            f = b * size
+            act = 2 * size
+            name = "activation"
+        elif kind is ResidualAdd:
+            j = layer.source_layer_index
+            if shapes[j] != shape:
+                raise ShapeMismatch(
+                    i, f"residual source layer {j} shape {shapes[j]} does not match "
+                    f"current shape {shape}"
+                )
+            f = b * size
+            act = 3 * size
+            name = "residual_add"
+        elif kind is Pool:
+            c, h, wd = shape
             oh = conv_out_side(h, layer.kernel, layer.stride, layer.padding)
-            ow = conv_out_side(w, layer.kernel, layer.stride, layer.padding)
+            ow = conv_out_side(wd, layer.kernel, layer.stride, layer.padding)
             if oh < 1 or ow < 1:
                 raise InfeasibleResolution(
-                    i, f"pool output side {min(oh, ow)} < 1 at input {h}x{w}"
+                    i, f"pool output side {min(oh, ow)} < 1 at input {h}x{wd}"
                 )
             out = (c, oh, ow)
-            flops = b * elems(out)
+            out_size = c * oh * ow
+            f = b * out_size
+            act = size + out_size
             name = f"pool_{layer.kind}"
-        elif isinstance(layer, GlobalPool):
-            c, h, w = prev
-            out = (c, 1, 1)
-            flops = b * c
+        elif kind is GlobalPool:
+            c = shape[0]
+            out, out_size = (c, 1, 1), c
+            f = b * c
+            act = size + c
             name = "global_pool"
-        elif isinstance(layer, BatchNorm):
-            c, h, w = prev
-            if c != layer.ch:
-                raise ShapeMismatch(i, f"ch {layer.ch} does not match input channels {c}")
-            out = prev
-            flops = 2 * b * elems(prev)
-            name = "batch_norm"
-        elif isinstance(layer, Activation):
-            out = prev
-            flops = b * elems(prev)
-            name = "activation"
-        elif isinstance(layer, ResidualAdd):
-            src = shapes[layer.source_layer_index]
-            if src != prev:
+        elif kind is Linear:
+            fan_in, fan_out = layer
+            if size != fan_in:
                 raise ShapeMismatch(
-                    i,
-                    f"residual source layer {layer.source_layer_index} shape "
-                    f"{src} does not match current shape {prev}",
+                    i, f"in_features {fan_in} does not match flattened input size {size}"
                 )
-            in_shapes = [prev, src]
-            out = prev
-            flops = b * elems(prev)
-            name = "residual_add"
-        elif isinstance(layer, Resize):
-            c, h, w = prev
-            out = (c, layer.target_hw, layer.target_hw)
-            flops = b * elems(out)
-            name = "resize"
-        elif isinstance(layer, Linear):
-            c, h, w = prev
-            flat = c * h * w
-            if flat != layer.in_features:
-                raise ShapeMismatch(
-                    i,
-                    f"in_features {layer.in_features} does not match flattened "
-                    f"input size {flat}",
-                )
-            out = (layer.out_features, 1, 1)
-            flops = 2 * b * layer.in_features * layer.out_features + b * layer.out_features
+            out, out_size = (fan_out, 1, 1), fan_out
+            f = 2 * b * fan_in * fan_out + b * fan_out
+            w = fan_in * fan_out + fan_out
+            act = size + fan_out
             name = "linear"
+        elif kind is Resize:
+            c, t = shape[0], layer.target_hw
+            out = (c, t, t)
+            out_size = c * t * t
+            f = b * out_size
+            act = size + out_size
+            name = "resize"
         else:  # pragma: no cover - vocabulary is closed
-            raise TypeError(f"unsupported layer type {type(layer).__name__}")
+            raise TypeError(f"unsupported layer type {kind.__name__}")
 
         shapes.append(out)
-        act_elems = sum(elems(s) for s in in_shapes) + elems(out)
-        dims = (layer.out_features,) if isinstance(layer, Linear) else out
+        sizes.append(out_size)
+        shape, size = out, out_size
+        dims = (out[0],) if kind is Linear else out
         out_shape = tensor_shapes.get(dims)
         if out_shape is None:
             out_shape = tensor_shapes[dims] = TensorShape(dims)
-        costs.append(
-            LayerCost(
-                layer_index=i,
-                name=name,
-                out_shape=out_shape,
-                flops=flops,
-                activation_bytes=act_elems * b * e,
-                param_count=_layer_params(layer),
-            )
-        )
-    return costs
+        act *= be
+        rows.append(_new_tuple(LayerCost, (i, name, out_shape, f, act, w)))
+        flops += f
+        params += w
+        if act > peak:
+            peak = act
+    return tuple(rows), flops, peak if rows else 0, params
 
 
+# No src/ caller; perfbench/spans.py patches it, so --trace 1 needs it. ROADMAP item 2 deletes it.
 def propagate_shapes(spec: CnnSpec, cfg: EvalConfig) -> list[TensorShape]:
     """Per-layer output shapes; raises InfeasibleResolution / ShapeMismatch."""
-    return [c.out_shape for c in _cnn_walk(spec, cfg)]
+    return [c.out_shape for c in _cnn_walk(spec, cfg)[0]]
 
 
 # --------------------------------------------------------------------------
@@ -415,13 +414,8 @@ def cost_report(spec: ArchSpec, cfg: EvalConfig | None = None) -> CostReport:
     rows = (14 * spec.depth + 4 if full else spec.depth) if is_vit else len(spec.layers)
     if rows > MAX_REPORT_ROWS:
         raise CountTooLarge(f"the report would have more than {MAX_REPORT_ROWS} rows")
-    if is_vit:
-        per_layer, flops, peak, params = (vit_cost_full if full else vit_cost_closed)(spec, cfg)
-    else:
-        per_layer = tuple(_cnn_walk(spec, cfg))
-        flops = sum(c.flops for c in per_layer)
-        peak = max((c.activation_bytes for c in per_layer), default=0)
-        params = sum(c.param_count for c in per_layer)
+    walk = (vit_cost_full if full else vit_cost_closed) if is_vit else _cnn_walk
+    per_layer, flops, peak, params = walk(spec, cfg)
     e = cfg.dtype.bytes_per_element
     model = params * e
     report = CostReport(

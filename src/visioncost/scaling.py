@@ -109,9 +109,10 @@ def _rescale_channels(spec: CnnSpec, scale: Callable[[int, int], int]) -> CnnSpe
 
 def width_scale(spec: CnnSpec, ratio: float) -> CnnSpec:
     """Scale every learned channel count by ``ratio`` (image input stays),
-    rounding half up to a multiple of WIDTH_MULTIPLE, never below it. The
-    ratio is read as the shortest decimal that round-trips it (0.35 is
-    7/20), and the product is rounded exactly, at any size.
+    rounding half up to a multiple of WIDTH_MULTIPLE, never below it. A
+    float ratio is read as the shortest decimal that round-trips it (0.35
+    is 7/20), an int as itself, and the product is rounded exactly, at any
+    size.
 
     Group counts are preserved; if rounding makes a grouped conv's channels
     indivisible by its groups, RoundingBreaksGroups is raised.
@@ -122,7 +123,8 @@ def width_scale(spec: CnnSpec, ratio: float) -> CnnSpec:
         raise ScalingError("width ratio must be finite, got inf")
     if ratio == 1.0:
         return spec
-    ratio_q = Fraction(str(ratio))  # the decimal its config-id token shows
+    # An int exactly, at any size; a float as the decimal its config-id token shows.
+    ratio_q = Fraction(ratio) if isinstance(ratio, int) else Fraction(str(ratio))
     p, q, m = ratio_q.numerator, ratio_q.denominator, WIDTH_MULTIPLE
     return _rescale_channels(
         spec, lambda c, _: max(m, m * ((2 * c * p + q * m) // (2 * q * m)))
@@ -216,7 +218,7 @@ def apply_transform(
     if kind is TransformKind.WIDTH:
         if not isinstance(spec, CnnSpec):
             raise ScalingError("width applies to conv specs")
-        return width_scale(spec, float(t.parameter)), cfg
+        return width_scale(spec, t.parameter), cfg
     if kind is TransformKind.GROUP_WIDTH:
         if not isinstance(spec, CnnSpec):
             raise ScalingError("group width applies to conv specs")

@@ -74,6 +74,7 @@ class SkippedConfig(NamedTuple):
     reason: str
 
 
+# Returned only by enumerate_space, which perfbench/spans.py patches; ROADMAP item 2 deletes both.
 class EnumeratedSweep(NamedTuple):
     configs: tuple[ScaledConfig, ...]
     skipped: tuple[SkippedConfig, ...]
@@ -143,6 +144,7 @@ def evaluate_space(
     return walk(0, space.base_spec, space.base_eval, (), ())
 
 
+# No src/ caller; perfbench/spans.py patches it, so --trace 1 needs it. ROADMAP item 2 deletes it.
 def enumerate_space(space: SweepSpace) -> EnumeratedSweep:
     """Every config of the space that costs, in order; rejected combos are
     recorded."""
@@ -276,6 +278,7 @@ class AnnotationTable:
             table.values[key] = value
         return table
 
+    # No src/ caller; perfbench/spans.py patches it, so --trace 1 needs it. ROADMAP item 2 deletes it.
     def for_config(self, config_id: str) -> dict[str, float]:
         return dict(
             sorted((m, value) for (cid, m), value in self.values.items() if cid == config_id)

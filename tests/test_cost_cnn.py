@@ -6,8 +6,11 @@ whole-network recount walks the layer list with its own shape algebra.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from visioncost.arch import (
+    DTYPES,
     Activation,
     BatchNorm,
     CnnSpec,
@@ -54,16 +57,18 @@ def oracle_conv_flops_by_looping(
     return total
 
 
-def oracle_recount(spec: CnnSpec, resolution: int, batch: int = 1):
-    """Independent walk. Returns (flops, peak_elems, params) using the
-    documented conventions: 2/MAC for conv and linear, 1/elem for pool,
-    activation, resize, residual and global pool, 2/elem for batch norm;
-    a layer's activation footprint is every input tensor plus its output."""
-    flops = 0
-    params = 0
-    peak = 0
-    outputs: list[tuple[int, ...]] = []
-    cur: tuple[int, ...] = (spec.input_channels, resolution, resolution)
+def oracle_recount(spec: CnnSpec, resolution: int, batch: int = 1, bytes_per_element: int = 1):
+    """Independent walk. Yields ``(name, out_dims, flops, activation_bytes,
+    params)`` per layer, using the documented conventions: 2/MAC for conv and
+    linear, 1/elem for pool, activation, resize, residual and global pool,
+    2/elem for batch norm; a layer's activation footprint is every input
+    tensor plus its output. A linear output feeds later layers as a 1x1 map.
+
+    Raises InfeasibleResolution at a window whose output side falls below 1,
+    and ShapeMismatch at a channel count, residual grid or flattened size
+    that does not match, each with that layer's index and no message."""
+    outputs: list[tuple[int, int, int]] = []
+    cur = (spec.input_channels, resolution, resolution)
 
     def elems(shape):
         n = 1
@@ -71,58 +76,89 @@ def oracle_recount(spec: CnnSpec, resolution: int, batch: int = 1):
             n *= d
         return n
 
+    def window(idx, side, k, s, p, d):
+        out = oracle_out_side(side, k, s, p, d)
+        if out < 1:
+            raise InfeasibleResolution(idx, "")
+        return out
+
     for idx, layer in enumerate(spec.layers):
         ins = [cur]
+        params = 0
         if isinstance(layer, Conv2d):
             if layer.input_layer_index is not None:
                 ins = [outputs[layer.input_layer_index]]
             c, h, w = ins[0]
-            oh = oracle_out_side(h, layer.kernel, layer.stride, layer.padding, layer.dilation)
-            ow = oracle_out_side(w, layer.kernel, layer.stride, layer.padding, layer.dilation)
-            if oh < 1 or ow < 1:
-                raise AssertionError(f"oracle hit infeasible layer {idx}")
-            out = (layer.out_ch, oh, ow)
-            flops += batch * 2 * (layer.in_ch // layer.groups) * layer.out_ch * layer.kernel ** 2 * oh * ow
-            if layer.has_bias:
-                flops += batch * layer.out_ch * oh * ow
-            params += (layer.in_ch // layer.groups) * layer.out_ch * layer.kernel ** 2
+            if c != layer.in_ch:
+                raise ShapeMismatch(idx, "")
+            args = (layer.kernel, layer.stride, layer.padding, layer.dilation)
+            oh, ow = window(idx, h, *args), window(idx, w, *args)
+            out = dims = (layer.out_ch, oh, ow)
+            name = "conv2d"
+            flops = oracle_conv_flops_by_looping(
+                layer.in_ch, layer.out_ch, layer.kernel, oh, ow,
+                groups=layer.groups, batch=batch, bias=layer.has_bias,
+            )
+            params = (layer.in_ch // layer.groups) * layer.out_ch * layer.kernel ** 2
             if layer.has_bias:
                 params += layer.out_ch
         elif isinstance(layer, Pool):
             c, h, w = cur
-            oh = oracle_out_side(h, layer.kernel, layer.stride, layer.padding, 1)
-            ow = oracle_out_side(w, layer.kernel, layer.stride, layer.padding, 1)
-            out = (c, oh, ow)
-            flops += batch * elems(out)
+            args = (layer.kernel, layer.stride, layer.padding, 1)
+            out = dims = (c, window(idx, h, *args), window(idx, w, *args))
+            name = "pool_" + layer.kind
+            flops = batch * elems(out)
         elif isinstance(layer, GlobalPool):
-            c = cur[0]
-            out = (c,)
-            flops += batch * c
+            out = dims = (cur[0], 1, 1)
+            name = "global_pool"
+            flops = batch * cur[0]
         elif isinstance(layer, BatchNorm):
-            out = cur
-            flops += batch * 2 * elems(out)
-            params += 2 * layer.ch
+            if cur[0] != layer.ch:
+                raise ShapeMismatch(idx, "")
+            out = dims = cur
+            name = "batch_norm"
+            flops = batch * 2 * elems(out)
+            params = 2 * layer.ch
         elif isinstance(layer, Activation):
-            out = cur
-            flops += batch * elems(out)
+            out = dims = cur
+            name = "activation"
+            flops = batch * elems(out)
         elif isinstance(layer, ResidualAdd):
-            ins = [cur, outputs[layer.source_layer_index]]
-            out = cur
-            flops += batch * elems(out)
+            source = outputs[layer.source_layer_index]
+            if source != cur:
+                raise ShapeMismatch(idx, "")
+            ins = [cur, source]
+            out = dims = cur
+            name = "residual_add"
+            flops = batch * elems(out)
         elif isinstance(layer, Resize):
-            c = cur[0]
-            out = (c, layer.target_hw, layer.target_hw)
-            flops += batch * elems(out)
+            out = dims = (cur[0], layer.target_hw, layer.target_hw)
+            name = "resize"
+            flops = batch * elems(out)
         elif isinstance(layer, Linear):
-            out = (layer.out_features,)
-            flops += batch * (2 * layer.in_features * layer.out_features + layer.out_features)
-            params += layer.in_features * layer.out_features + layer.out_features
+            if elems(cur) != layer.in_features:
+                raise ShapeMismatch(idx, "")
+            dims = (layer.out_features,)
+            out = (layer.out_features, 1, 1)
+            name = "linear"
+            flops = batch * (2 * layer.in_features * layer.out_features + layer.out_features)
+            params = layer.in_features * layer.out_features + layer.out_features
         else:  # pragma: no cover
             raise AssertionError(f"oracle does not know {layer!r}")
-        peak = max(peak, batch * (sum(elems(s) for s in ins) + elems(out)))
+        act = batch * bytes_per_element * (sum(elems(s) for s in ins) + elems(dims))
+        yield name, dims, flops, act, params
         outputs.append(out)
         cur = out
-    return flops, peak, params
+
+
+def oracle_totals(spec: CnnSpec, resolution: int, batch: int = 1):
+    """``(flops, peak_elems, params)`` summed from the oracle's rows."""
+    rows = list(oracle_recount(spec, resolution, batch))
+    return (
+        sum(r[2] for r in rows),
+        max((r[3] for r in rows), default=0),
+        sum(r[4] for r in rows),
+    )
 
 
 # --------------------------------------------------------------------------
@@ -174,6 +210,104 @@ class TestConvPrimitives:
 # whole-network walks
 
 
+@st.composite
+def cnn_cases(draw):
+    """A random channel-consistent stack with a resolution, batch and dtype.
+
+    Channel counts always chain, so the only faults left are the ones that
+    depend on the resolution: a window that does not fit, residual grids
+    that differ, and a flattened map that does not fit a linear layer."""
+    resolution = draw(st.integers(1, 40))
+    cfg = EvalConfig(
+        batch_size=draw(st.integers(1, 3)),
+        dtype=draw(st.sampled_from(sorted(DTYPES.values()))),
+        input_resolution=resolution,
+    )
+    in_ch = draw(st.integers(1, 4))
+    layers: list = []
+    channels: list[int] = []  # output channels per layer
+    cur = in_ch
+    for _ in range(draw(st.integers(0, 12))):
+        i = len(layers)
+        kind = draw(st.sampled_from(
+            ["conv", "conv", "pool", "global_pool", "batch_norm", "activation",
+             "residual_add", "resize", "linear"]
+        ))
+        if kind == "conv":
+            source = None
+            if i and draw(st.booleans()):
+                source = draw(st.integers(0, i - 1))
+            c = cur if source is None else channels[source]
+            groups = draw(st.sampled_from([g for g in range(1, c + 1) if c % g == 0]))
+            cur = groups * draw(st.integers(1, 4))
+            layer = Conv2d(
+                c, cur, kernel=draw(st.integers(1, 5)), stride=draw(st.integers(1, 3)),
+                padding=draw(st.integers(0, 2)), groups=groups,
+                dilation=draw(st.integers(1, 3)), has_bias=draw(st.booleans()),
+                input_layer_index=source,
+            )
+        elif kind == "pool":
+            kernel = draw(st.integers(1, 4))
+            layer = Pool(
+                draw(st.sampled_from(["max", "avg"])), kernel,
+                stride=draw(st.integers(1, 3)), padding=draw(st.integers(0, kernel // 2)),
+            )
+        elif kind == "global_pool":
+            layer = GlobalPool()
+        elif kind == "batch_norm":
+            layer = BatchNorm(cur)
+        elif kind == "activation":
+            layer = Activation()
+        elif kind == "residual_add":
+            sources = [j for j in range(i) if channels[j] == cur]
+            if not sources:
+                continue
+            layer = ResidualAdd(draw(st.sampled_from(sources)))
+        elif kind == "resize":
+            layer = Resize(draw(st.integers(1, 8)))
+        else:
+            # the flattened size of the map so far, or one off it
+            prefix = stack(*layers, in_ch=in_ch)
+            try:
+                rows = list(oracle_recount(prefix, resolution))
+            except (InfeasibleResolution, ShapeMismatch):
+                rows = []
+            flat = cur
+            for d in rows[-1][1][1:] if rows else (resolution, resolution):
+                flat *= d
+            cur = draw(st.integers(1, 6))
+            layer = Linear(flat + draw(st.sampled_from([0, 0, 0, 1])), cur)
+        layers.append(layer)
+        channels.append(cur)
+    return stack(*layers, in_ch=in_ch), cfg
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=cnn_cases())
+def test_every_row_matches_the_oracle(case):
+    """Each row and the three totals equal the oracle's; where the oracle
+    finds a fault, the walk raises the same class at the same layer."""
+    spec, cfg = case
+    e = cfg.dtype.bytes_per_element
+    try:
+        want = list(oracle_recount(spec, cfg.input_resolution, cfg.batch_size, e))
+    except (InfeasibleResolution, ShapeMismatch) as fault:
+        with pytest.raises((InfeasibleResolution, ShapeMismatch)) as exc:
+            cost_report(spec, cfg)
+        assert type(exc.value) is type(fault)
+        assert exc.value.layer_index == fault.layer_index
+        return
+    rep = cost_report(spec, cfg)
+    got = [
+        (c.layer_index, c.name, c.out_shape.dims, c.flops, c.activation_bytes, c.param_count)
+        for c in rep.per_layer
+    ]
+    assert got == [(i, *row) for i, row in enumerate(want)]
+    assert rep.flops == sum(row[2] for row in want)
+    assert rep.peak_activation_bytes == max((row[3] for row in want), default=0)
+    assert rep.model_bytes == e * sum(row[4] for row in want)
+
+
 def stack(*layers, in_ch=3, name="stack"):
     return CnnSpec(name=name, input_channels=in_ch, layers=tuple(layers))
 
@@ -193,7 +327,7 @@ class TestWalk:
             Linear(16, 10),
         )
         for resolution, batch in ((32, 1), (64, 2), (97, 3)):
-            want_flops, want_peak, want_params = oracle_recount(spec, resolution, batch)
+            want_flops, want_peak, want_params = oracle_totals(spec, resolution, batch)
             rep = cost_report(spec, EvalConfig(batch_size=batch, input_resolution=resolution))
             assert rep.flops == want_flops
             assert rep.peak_activation_bytes == want_peak * 4
@@ -212,7 +346,7 @@ class TestWalk:
 
     def test_resnet50_matches_recount_oracle(self):
         spec = resnet50()
-        want_flops, want_peak, want_params = oracle_recount(spec, 224)
+        want_flops, want_peak, want_params = oracle_totals(spec, 224)
         rep = cost_report(spec, EvalConfig(input_resolution=224))
         assert rep.flops == want_flops == 8_215_928_296
         assert rep.peak_activation_bytes == want_peak * 4
@@ -230,7 +364,7 @@ class TestWalk:
         rep = cost_report(spec, EvalConfig(input_resolution=16))
         # projection output matches the main path: 8 x 8 x 8
         assert str(rep.per_layer[2].out_shape) == "8x8x8"
-        want = oracle_recount(spec, 16)
+        want = oracle_totals(spec, 16)
         assert rep.flops == want[0]
 
     def test_residual_counts_three_tensors(self):

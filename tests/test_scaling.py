@@ -138,6 +138,25 @@ class TestWidth:
     def test_vast_ratio_scales_exactly(self, ratio, exact):
         assert width_of(64, ratio) == 64 * exact
 
+    @pytest.mark.parametrize("ratio", [10**400, 10**5000], ids=["10**400", "10**5000"])
+    def test_vast_int_ratio_through_make_config(self, ratio):
+        # Past the float range, and past the 4300 digits str() writes.
+        base = resnet50()
+        config = make_config("resnet50", base, EvalConfig(), [ScalingTransform(K.WIDTH, ratio)])
+        # every learned count is a multiple of 8, so it scales without rounding
+        want = []
+        for i, layer in enumerate(base.layers):
+            if isinstance(layer, Conv2d):
+                in_ch = layer.in_ch * ratio if i else layer.in_ch  # layer 0 reads the image
+                layer = layer._replace(in_ch=in_ch, out_ch=layer.out_ch * ratio)
+            elif isinstance(layer, BatchNorm):
+                layer = layer._replace(ch=layer.ch * ratio)
+            elif isinstance(layer, Linear):
+                layer = layer._replace(in_features=layer.in_features * ratio)
+            want.append(layer)
+        assert config.spec == base._replace(layers=tuple(want))
+        assert config.spec.layers[0].out_ch == 64 * ratio
+
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_config_id_with_unusable_width_rejected(self, value):
         with pytest.raises(ScalingError):
