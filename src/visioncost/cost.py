@@ -133,7 +133,8 @@ def conv_flops(layer: Conv2d, out_h: int, out_w: int, batch: int = 1) -> int:
 
 
 # Builds a LayerCost from a tuple of its fields in C, without the Python-level
-# NamedTuple ``__new__``: a fifth of the CNN walk's time on ResNet-50.
+# NamedTuple ``__new__`` (a fifth of the CNN walk's time on ResNet-50). All
+# three walks build their rows with it.
 _new_tuple = tuple.__new__
 
 
@@ -304,17 +305,8 @@ def vit_cost_closed(
     block_act = vit_block_activation_elems_closed(n, spec.hidden_dim, spec.mlp_dim)
     block_params = vit_block_params_closed(spec.hidden_dim, spec.mlp_dim)
     out_shape = TensorShape((n * n, spec.hidden_dim)) if spec.depth > 0 else None
-    per_layer = tuple(
-        LayerCost(
-            layer_index=i,
-            name=f"block{i}",
-            out_shape=out_shape,
-            flops=b * block_flops,
-            activation_bytes=block_act * b * e,
-            param_count=block_params,
-        )
-        for i in range(spec.depth)
-    )
+    row = (out_shape, b * block_flops, block_act * b * e, block_params)
+    per_layer = tuple(_new_tuple(LayerCost, (i, f"block{i}", *row)) for i in range(spec.depth))
     peak = block_act * b * e if spec.depth > 0 else 0
     return per_layer, b * block_flops * spec.depth, peak, block_params * spec.depth
 
@@ -393,7 +385,7 @@ def vit_cost_full(
         pre = f"block{i}."
         ops += [(pre + name, s, f, a, w) for name, s, f, a, w in block]
     ops += edges[1:]
-    per_layer = tuple([LayerCost._make((i, *op)) for i, op in enumerate(ops)])
+    per_layer = tuple([_new_tuple(LayerCost, (i, *op)) for i, op in enumerate(ops)])
 
     flops = sum(op[2] for op in edges) + depth * sum(op[2] for op in block)
     params = sum(op[4] for op in edges) + depth * sum(op[4] for op in block)

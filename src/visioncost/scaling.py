@@ -40,7 +40,7 @@ class ScalingError(ValueError):
 class RoundingBreaksGroups(ScalingError):
     def __init__(self, layer_index: int, channels: int, groups: int):
         super().__init__(
-            f"layer {layer_index}: rounded channel count {channels} is not divisible "
+            f"layer {layer_index}: rounded channel count {_abridged(channels)} is not divisible "
             f"by groups {groups}; pick a width that keeps it a multiple of {groups}"
         )
         self.layer_index = layer_index
@@ -53,6 +53,22 @@ class InvalidGroupWidth(ScalingError):
 
 
 WIDTH_MULTIPLE = 8
+
+
+def _abridged(v: object) -> str:
+    """``str(v)``, or for an int past the interpreter's digit limit, which
+    ``str`` refuses, its first 20 digits and its digit count."""
+    try:
+        return str(v)
+    except ValueError:
+        a = abs(v)
+    digits = (a.bit_length() - 1) * 3 // 10  # below log10(a): a has more digits
+    power = 10**digits
+    while a >= power:
+        power *= 10
+        digits += 1
+    head = a // (power // 10**20)
+    return f"{'-' if v < 0 else ''}{head}\u2026 ({digits} digits)"
 
 
 class TransformKind(str, Enum):
@@ -118,7 +134,7 @@ def width_scale(spec: CnnSpec, ratio: float) -> CnnSpec:
     indivisible by its groups, RoundingBreaksGroups is raised.
     """
     if not ratio > 0:  # NaN too
-        raise ScalingError(f"width ratio must be > 0, got {ratio}")
+        raise ScalingError(f"width ratio must be > 0, got {_abridged(ratio)}")
     if ratio == math.inf:
         raise ScalingError("width ratio must be finite, got inf")
     if ratio == 1.0:
@@ -137,7 +153,7 @@ def group_width_scale(spec: CnnSpec, group_width: int) -> CnnSpec:
     exact ratio so pointwise convs, norms and residuals stay consistent.
     """
     if group_width < 1:
-        raise InvalidGroupWidth(f"group width must be >= 1, got {group_width}")
+        raise InvalidGroupWidth(f"group width must be >= 1, got {_abridged(group_width)}")
     old_widths = {
         layer.in_ch // layer.groups
         for layer in spec.layers
@@ -157,7 +173,8 @@ def group_width_scale(spec: CnnSpec, group_width: int) -> CnnSpec:
         v = c * ratio
         if v.denominator != 1:
             raise ScalingError(
-                f"layer {where}: channel count {c} does not scale exactly by {ratio}"
+                f"layer {where}: channel count {_abridged(c)} does not scale exactly by "
+                f"{_abridged(ratio.numerator)}/{_abridged(ratio.denominator)}"
             )
         return int(v)
 
@@ -165,8 +182,8 @@ def group_width_scale(spec: CnnSpec, group_width: int) -> CnnSpec:
         return _rescale_channels(spec, scale)
     except RoundingBreaksGroups as exc:
         raise InvalidGroupWidth(
-            f"layer {exc.layer_index}: group width {group_width} gives "
-            f"{exc.channels} channels, not divisible by groups {exc.groups}"
+            f"layer {exc.layer_index}: group width {_abridged(group_width)} gives "
+            f"{_abridged(exc.channels)} channels, not divisible by groups {exc.groups}"
         ) from None
 
 
@@ -178,7 +195,7 @@ def resolution_scale(cfg: EvalConfig, new_resolution: int) -> EvalConfig:
     """A CNN resolution too small for its windows is left for the cost walk
     to reject with InfeasibleResolution."""
     if new_resolution < 1:
-        raise ScalingError(f"resolution must be >= 1, got {new_resolution}")
+        raise ScalingError(f"resolution must be >= 1, got {_abridged(new_resolution)}")
     return cfg._replace(input_resolution=new_resolution)
 
 
@@ -207,7 +224,7 @@ def apply_transform(
             raise ScalingError(f"{noun} applies to transformer specs")
         value = int(t.parameter)
         if value < 1:
-            raise ScalingError(f"{noun} must be >= 1, got {value}")
+            raise ScalingError(f"{noun} must be >= 1, got {_abridged(value)}")
         if kind is TransformKind.HIDDEN:
             # Keep the head count: round half up to a multiple of it, exactly.
             k = spec.num_heads
@@ -260,7 +277,12 @@ def _format_number(v: object) -> str:
     if isinstance(v, bool):
         raise ScalingError("boolean is not a transform parameter")
     if isinstance(v, int):
-        return str(v)
+        try:
+            return str(v)
+        except ValueError:  # past the interpreter's digit limit
+            raise ScalingError(
+                f"parameter {_abridged(v)} has too many digits for a config id"
+            ) from None
     f = float(v)
     if f == int(f) and abs(f) < 1e15:
         return str(int(f))

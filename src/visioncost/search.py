@@ -19,7 +19,7 @@ import logging
 import math
 from collections import Counter
 from fractions import Fraction
-from itertools import groupby, product
+from itertools import groupby, islice, product, repeat
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -308,7 +308,91 @@ FRONTIER_COLUMNS = (
 
 
 def read_frontier_csv(path: str | Path) -> tuple[list[FrontierPoint], list[str]]:
-    """Re-ingest a frontier.csv; returns (points, metric column names)."""
+    """Re-ingest a frontier.csv; returns (points, metric column names).
+
+    A well-formed file is checked a column at a time. If a check fails or
+    the parse raises, ``_read_frontier_rows`` reads the file again and
+    raises the error of its first faulty line.
+    """
+    try:
+        # The universal newlines of read_text, parsed from the file, not a copy.
+        with open(path, encoding="utf-8") as file:
+            # Not splitlines(): a quoted line break stays inside its cell.
+            reader = csv.reader(file)
+            header = next(reader, [])
+            points = _frontier_points(header, filter(None, reader))  # blank lines dropped
+    except (ValueError, csv.Error):
+        points = None
+    if points is None:
+        return _read_frontier_rows(path)
+    return points, header[len(FRONTIER_COLUMNS) :]
+
+
+# Rows checked together. A block's cells are all held at once: on a
+# 1000-row frontier, blocks of 256 rows peak at 667 KiB (tracemalloc) where
+# the row loop peaks at 936 KiB; one block of the whole file raised the
+# process's peak RSS.
+_BLOCK_ROWS = 256
+
+
+def _frontier_points(
+    header: list[str], rows: Iterator[list[str]]
+) -> list[FrontierPoint] | None:
+    """The points of a frontier's non-blank ``rows``, or None if a check of
+    ``_read_frontier_rows`` fails (``zip``, ``int`` and ``float`` may raise
+    ValueError instead). Each check is one C-level pass over a column of a
+    block of rows."""
+    if (
+        tuple(header[: len(FRONTIER_COLUMNS)]) != FRONTIER_COLUMNS
+        or len(set(header)) != len(header)
+    ):
+        return None
+    metrics = header[len(FRONTIER_COLUMNS) :]
+    points: list[FrontierPoint] = []
+    seen: set[str] = set()
+    while block := list(islice(rows, _BLOCK_ROWS)):
+        # strict: every row of the block is as long as its first
+        columns = list(zip(*block, strict=True))
+        if len(columns) != len(header):
+            return None
+        ids, *counts = columns[: len(FRONTIER_COLUMNS)]
+        metric_columns = columns[len(FRONTIER_COLUMNS) :]
+        seen.update(ids)
+        if len(seen) != len(points) + len(ids):
+            return None
+        # int() would also take a sign, spaces, "_" and non-ASCII digits.
+        for column in counts:
+            text = "".join(column)
+            if not (all(column) and text.isascii() and text.isdigit()):
+                return None
+        # float() would also take "_" and non-ASCII digits. A cell may be empty.
+        for column in metric_columns:
+            text = "".join(column)
+            if not text.isascii() or "_" in text:
+                return None
+        values = [list(map(float, filter(None, column))) for column in metric_columns]
+        if not all(all(map(math.isfinite, column)) for column in values):
+            return None
+        if metric_columns and all(map(all, metric_columns)):  # every row annotated
+            # One ((metric, value), ...) tuple per row, each made a dict in C.
+            pairs = zip(*[zip(repeat(m), column) for m, column in zip(metrics, values)])
+            annotations = map(dict, pairs)
+        else:
+            floats = list(map(iter, values))
+            annotations = [
+                {m: next(f) for m, f, cell in zip(metrics, floats, cells) if cell}
+                for _, *cells in zip(ids, *metric_columns)
+            ]
+        # int() raises past the interpreter's digit limit. tuple.__new__ builds
+        # each point in C, without the Python-level NamedTuple __new__.
+        fields = zip(ids, *[map(int, column) for column in counts], annotations)
+        points += map(tuple.__new__, repeat(FrontierPoint), fields)
+    return points
+
+
+def _read_frontier_rows(path: str | Path) -> tuple[list[FrontierPoint], list[str]]:
+    """``read_frontier_csv`` a row at a time: the one reader that names the
+    first faulty line, and the reference the column checks keep to."""
     text = Path(path).read_text(encoding="utf-8")
     # Not splitlines(): a quoted line break stays inside its cell.
     reader = csv.reader(io.StringIO(text))
@@ -556,10 +640,10 @@ def best_compressed(
     """Cheapest point by the ``objective`` cost column whose metric is within
     ``max_drop`` of the baseline's.
 
-    Points without an annotation for the metric are excluded (with a
-    warning). Ties on the objective resolve by config id. A ``baseline_id``
-    that names no point raises ValueError; a baseline without the metric,
-    NoFeasibleCandidate.
+    Points without an annotation for the metric are excluded, with one
+    warning that counts them and names the first five. Ties on the
+    objective resolve by config id. A ``baseline_id`` that names no point
+    raises ValueError; a baseline without the metric, NoFeasibleCandidate.
     """
     baseline = next((p for p in points if p.config_id == baseline_id), None)
     if baseline is None:
@@ -571,17 +655,21 @@ def best_compressed(
         )
     floor_value = baseline_value - max_drop
     feasible: list[FrontierPoint] = []
+    excluded: list[str] = []
     for p in points:
         value = p.annotations.get(metric)
         if value is None:
-            logger.warning(
-                "config %s has no %r annotation; excluded from selection",
-                p.config_id,
-                metric,
-            )
-            continue
-        if value >= floor_value:
+            excluded.append(p.config_id)
+        elif value >= floor_value:
             feasible.append(p)
+    if excluded:
+        logger.warning(
+            "%d config(s) have no %r annotation; excluded from selection: %s%s",
+            len(excluded),
+            metric,
+            ", ".join(map(_cut, excluded[:5])),
+            ", ..." if len(excluded) > 5 else "",
+        )
     if not feasible:
         raise NoFeasibleCandidate(
             f"no candidate keeps {metric} within {max_drop} of baseline "

@@ -157,6 +157,26 @@ class TestWidth:
         assert config.spec == base._replace(layers=tuple(want))
         assert config.spec.layers[0].out_ch == 64 * ratio
 
+    def test_vast_int_in_a_message_is_abridged(self):
+        # str() refuses an int past 4300 digits; the message shows its head.
+        vast = "10000000000000000000\u2026 (5001 digits)"
+        with pytest.raises(ScalingError) as exc:
+            width_scale(resnet50(), -(10**5000))
+        assert str(exc.value) == f"width ratio must be > 0, got -{vast}"
+        config = make_config(
+            "resnet50", resnet50(), EvalConfig(), [ScalingTransform(K.WIDTH, 10**5000)]
+        )
+        with pytest.raises(ScalingError) as exc:
+            config.config_id
+        assert str(exc.value) == f"parameter {vast} has too many digits for a config id"
+        with pytest.raises(ScalingError) as exc:
+            arch_apply(vit_small(), ScalingTransform(K.DEPTH, -(10**5000)))
+        assert str(exc.value) == f"depth must be >= 1, got -{vast}"
+        # An int that str() writes is written whole.
+        with pytest.raises(ScalingError) as exc:
+            width_scale(resnet50(), -(10**4299))
+        assert str(exc.value) == f"width ratio must be > 0, got {-(10**4299)}"
+
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_config_id_with_unusable_width_rejected(self, value):
         with pytest.raises(ScalingError):

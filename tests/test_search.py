@@ -4,19 +4,26 @@ Matching and selection are checked against exhaustive scans written
 independently of the bisection/filter code under test.
 """
 
+import csv
+import io
 import itertools
 import logging
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import visioncost.scaling
+from visioncost import search
 from visioncost.arch import CnnSpec, Conv2d, EvalConfig, GlobalPool, Linear
 from visioncost.cost import InfeasibleResolution, ShapeMismatch, cost_report
 from visioncost.presets import grouped_seg_backbone, resnet50, vit_small
 from visioncost.scaling import ScalingError, ScalingTransform, TransformKind, make_config
 from visioncost.search import (
+    FRONTIER_COLUMNS,
     AnnotationTable,
     FrontierPoint,
     MAX_BISECTION_ITERATIONS,
@@ -32,6 +39,7 @@ from visioncost.search import (
     match_flops_budget,
     pareto_front,
     point_from_report,
+    read_frontier_csv,
 )
 
 K = TransformKind
@@ -298,6 +306,116 @@ class TestFrontierPoints:
         assert points[1].annotations == {}
 
 
+# Frontier cells: well-formed ones, and ones the reader must refuse.
+VALID_COUNT = st.integers(0, 10**12).map(str)
+VALID_METRIC = st.one_of(st.just(""), st.floats(-1e6, 1e6).map(repr))
+BAD_COUNT = st.sampled_from(
+    ["", "+1", " 1", "1_0", "\u0661", "\u00b2", "1" * 5000, "1.5", "-3", "0x1"]
+)
+BAD_METRIC = st.sampled_from(
+    ["nan", "inf", "-inf", "1e400", "abc", "7_0", "\u0667\u0660", "1" * 5000]
+)
+ODD_IDS = st.sampled_from(["c0", "x,y", "x\ny", '"q"', "", " c1"])
+# Most rows stay well-formed, so that one fault is often a file's only one.
+FAULTS = st.sampled_from(
+    [None] * 6 + ["count", "metric", "id", "short", "long", "blank", "repeat"]
+)
+HEADER_FAULTS = st.sampled_from([None] * 8 + ["repeated", "short"])
+
+
+def frontier_outcome(read, path):
+    """What ``read`` makes of a frontier file: its metrics and its points,
+    each with the types of its values, or its error's class and message."""
+    try:
+        points, metrics = read(path)
+    except (ValueError, csv.Error) as exc:
+        return type(exc), str(exc)
+    return metrics, [
+        (type(p), p, [type(v) for v in p[1:5]], [(m, type(v)) for m, v in p.annotations.items()])
+        for p in points
+    ]
+
+
+class TestFrontierReader:
+    """``read_frontier_csv`` checks a column at a time and hands any file
+    that fails to the row loop; both must agree on every file."""
+
+    @settings(max_examples=500, deadline=None, database=None)
+    @given(data=st.data())
+    def test_equals_the_row_loop(self, tmp_path_factory, data):
+        metrics = data.draw(st.sampled_from([[], ["top1"], ["top1", "top5"]]))
+        header = list(FRONTIER_COLUMNS) + metrics
+        header_fault = data.draw(HEADER_FAULTS)
+        if header_fault == "repeated":
+            header.append(header[-1])
+        elif header_fault == "short":
+            del header[data.draw(st.integers(0, len(header) - 1)) :]
+        rows = []
+        for i in range(data.draw(st.integers(0, 8))):
+            row = [f"c{i}", *data.draw(st.lists(VALID_COUNT, min_size=4, max_size=4))]
+            row += data.draw(st.lists(VALID_METRIC, min_size=len(metrics), max_size=len(metrics)))
+            fault = data.draw(FAULTS)
+            if fault == "count":
+                row[data.draw(st.integers(1, 4))] = data.draw(BAD_COUNT)
+            elif fault == "metric" and metrics:
+                row[data.draw(st.integers(5, len(row) - 1))] = data.draw(BAD_METRIC)
+            elif fault == "id":
+                row[0] = data.draw(ODD_IDS)
+            elif fault == "short":
+                del row[data.draw(st.integers(0, len(row) - 1)) :]
+            elif fault == "long":
+                row.append("1")
+            elif fault == "blank":
+                rows.append([])
+            elif fault == "repeat" and any(rows):
+                row[0] = data.draw(st.sampled_from([r for r in rows if r]))[0]
+            rows.append(row)
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf, lineterminator=data.draw(st.sampled_from(["\n", "\r\n"])))
+        writer.writerows([header, *rows])
+        path = tmp_path_factory.mktemp("frontier") / "frontier.csv"
+        path.write_bytes(buf.getvalue().encode("utf-8"))
+        want = frontier_outcome(search._read_frontier_rows, path)
+        # Small blocks put a repeated id or a short row in a later block.
+        with mock.patch.object(search, "_BLOCK_ROWS", data.draw(st.sampled_from([1, 2, 256]))):
+            assert frontier_outcome(read_frontier_csv, path) == want
+
+    def test_well_formed_file_skips_the_row_loop(self, tmp_path, monkeypatch):
+        lines = [",".join(FRONTIER_COLUMNS + ("top1", "top5"))]
+        lines += [f"c{i},{i},{i + 1},{i + 2},{2 * i + 3},{70 + i / 8},{'' if i % 3 else 90}"
+                  for i in range(600)]
+        lines.insert(7, "")  # a blank line
+        lines.insert(9, '"x,\r\ny",1,2,3,5,70,90')  # a quoted line break
+        path = tmp_path / "frontier.csv"
+        path.write_bytes("\r\n".join(lines).encode("utf-8") + b"\r\n")
+        want = frontier_outcome(search._read_frontier_rows, path)
+        monkeypatch.setattr(search, "_read_frontier_rows", None)
+        assert frontier_outcome(read_frontier_csv, path) == want
+        points, metrics = read_frontier_csv(path)
+        assert metrics == ["top1", "top5"] and len(points) == 601
+        assert points[7] == ("x,\ny", 1, 2, 3, 5, {"top1": 70.0, "top5": 90.0})
+        assert points[0].annotations == {"top1": 70.0, "top5": 90.0}
+        assert points[2].annotations == {"top1": 70.25}
+        # CRLF reads as LF, in a cell too.
+        path.write_bytes(b"".join(line.encode() + b"\n" for line in lines).replace(b"\r", b""))
+        assert read_frontier_csv(path) == (points, metrics)
+
+    def test_undecodable_byte_names_its_position_in_the_file(self, tmp_path):
+        # Past the first 8 KiB the file is decoded from, so a position
+        # counted from the chunk that fails would be wrong.
+        header = ",".join(FRONTIER_COLUMNS) + ",top1\n"
+        rows = [f"vit_small;N={i},1000,2000,3000,5000,70.5\n" for i in range(600)]
+        data = "".join([header, *rows[:500]]).encode() + b"\xff" + "".join(rows[500:]).encode()
+        path = tmp_path / "frontier.csv"
+        path.write_bytes(data)
+        with pytest.raises(UnicodeDecodeError) as want:
+            data.decode("utf-8")
+        assert want.value.start > 16 * 1024
+        with pytest.raises(UnicodeDecodeError) as got:
+            read_frontier_csv(path)
+        assert str(got.value) == str(want.value)
+
+
 class TestBudgetMatcher:
     def exhaustive_best(self, knob, lo, hi, step, target):
         """Independent scan of the aligned grid, same tie-break contract:
@@ -514,6 +632,29 @@ class TestBestCompressed:
             )
         assert got.config_id == "ok"
         assert any("cheap_unknown" in r.message for r in caplog.records)
+
+    def test_exclusions_share_one_warning(self, caplog):
+        points = [pt("base", 100, 100, top1=75.0)]
+        points += [pt(f"c{i}", i + 1, i + 1) for i in range(1999)]
+        with caplog.at_level("WARNING"):
+            got = best_compressed(
+                points, metric="top1", max_drop=0.75,
+                objective="flops", baseline_id="base",
+            )
+        assert got.config_id == "base"
+        assert [r.getMessage() for r in caplog.records] == [
+            "1999 config(s) have no 'top1' annotation; excluded from selection: "
+            "c0, c1, c2, c3, c4, ..."
+        ]
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            best_compressed(
+                points[:3], metric="top1", max_drop=0.75,
+                objective="flops", baseline_id="base",
+            )
+        assert [r.getMessage() for r in caplog.records] == [
+            "2 config(s) have no 'top1' annotation; excluded from selection: c0, c1"
+        ]
 
     def test_baseline_must_exist_and_be_annotated(self):
         points = [pt("a", 1, 1, top1=70.0)]
