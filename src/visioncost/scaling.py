@@ -57,18 +57,11 @@ WIDTH_MULTIPLE = 8
 
 def _abridged(v: object) -> str:
     """``str(v)``, or for an int past the interpreter's digit limit, which
-    ``str`` refuses, its first 20 digits and its digit count."""
+    ``str`` refuses, its size in bits."""
     try:
         return str(v)
     except ValueError:
-        a = abs(v)
-    digits = (a.bit_length() - 1) * 3 // 10  # below log10(a): a has more digits
-    power = 10**digits
-    while a >= power:
-        power *= 10
-        digits += 1
-    head = a // (power // 10**20)
-    return f"{'-' if v < 0 else ''}{head}\u2026 ({digits} digits)"
+        return f"{'-' if v < 0 else ''}<int of {abs(v).bit_length()} bits>"
 
 
 class TransformKind(str, Enum):

@@ -19,7 +19,7 @@ import logging
 import math
 from collections import Counter
 from fractions import Fraction
-from itertools import groupby, islice, product, repeat
+from itertools import groupby, product, repeat
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -328,66 +328,47 @@ def read_frontier_csv(path: str | Path) -> tuple[list[FrontierPoint], list[str]]
     return points, header[len(FRONTIER_COLUMNS) :]
 
 
-# Rows checked together. A block's cells are all held at once: on a
-# 1000-row frontier, blocks of 256 rows peak at 667 KiB (tracemalloc) where
-# the row loop peaks at 936 KiB; one block of the whole file raised the
-# process's peak RSS.
-_BLOCK_ROWS = 256
-
-
 def _frontier_points(
     header: list[str], rows: Iterator[list[str]]
 ) -> list[FrontierPoint] | None:
     """The points of a frontier's non-blank ``rows``, or None if a check of
     ``_read_frontier_rows`` fails (``zip``, ``int`` and ``float`` may raise
-    ValueError instead). Each check is one C-level pass over a column of a
-    block of rows."""
+    ValueError instead; they do on an empty cell, so a file where some row
+    lacks a metric is left to the row loop too). Each check is one C-level
+    pass over a column."""
     if (
         tuple(header[: len(FRONTIER_COLUMNS)]) != FRONTIER_COLUMNS
         or len(set(header)) != len(header)
     ):
         return None
     metrics = header[len(FRONTIER_COLUMNS) :]
-    points: list[FrontierPoint] = []
-    seen: set[str] = set()
-    while block := list(islice(rows, _BLOCK_ROWS)):
-        # strict: every row of the block is as long as its first
-        columns = list(zip(*block, strict=True))
-        if len(columns) != len(header):
+    # strict: every row is as long as the first
+    columns = list(zip(*rows, strict=True))
+    if not metrics or len(columns) != len(header):
+        return None
+    ids, *counts = columns[: len(FRONTIER_COLUMNS)]
+    metric_columns = columns[len(FRONTIER_COLUMNS) :]
+    if len(set(ids)) != len(ids):
+        return None
+    # int() would also take a sign, spaces, "_" and non-ASCII digits.
+    for column in counts:
+        text = "".join(column)
+        if not (text.isascii() and text.isdigit()):
             return None
-        ids, *counts = columns[: len(FRONTIER_COLUMNS)]
-        metric_columns = columns[len(FRONTIER_COLUMNS) :]
-        seen.update(ids)
-        if len(seen) != len(points) + len(ids):
+    # float() would also take "_" and non-ASCII digits.
+    for column in metric_columns:
+        text = "".join(column)
+        if not text.isascii() or "_" in text:
             return None
-        # int() would also take a sign, spaces, "_" and non-ASCII digits.
-        for column in counts:
-            text = "".join(column)
-            if not (all(column) and text.isascii() and text.isdigit()):
-                return None
-        # float() would also take "_" and non-ASCII digits. A cell may be empty.
-        for column in metric_columns:
-            text = "".join(column)
-            if not text.isascii() or "_" in text:
-                return None
-        values = [list(map(float, filter(None, column))) for column in metric_columns]
-        if not all(all(map(math.isfinite, column)) for column in values):
-            return None
-        if metric_columns and all(map(all, metric_columns)):  # every row annotated
-            # One ((metric, value), ...) tuple per row, each made a dict in C.
-            pairs = zip(*[zip(repeat(m), column) for m, column in zip(metrics, values)])
-            annotations = map(dict, pairs)
-        else:
-            floats = list(map(iter, values))
-            annotations = [
-                {m: next(f) for m, f, cell in zip(metrics, floats, cells) if cell}
-                for _, *cells in zip(ids, *metric_columns)
-            ]
-        # int() raises past the interpreter's digit limit. tuple.__new__ builds
-        # each point in C, without the Python-level NamedTuple __new__.
-        fields = zip(ids, *[map(int, column) for column in counts], annotations)
-        points += map(tuple.__new__, repeat(FrontierPoint), fields)
-    return points
+    values = [list(map(float, column)) for column in metric_columns]
+    if not all(all(map(math.isfinite, column)) for column in values):
+        return None
+    # One ((metric, value), ...) tuple per row, each made a dict in C.
+    pairs = zip(*[zip(repeat(m), column) for m, column in zip(metrics, values)])
+    # int() raises past the interpreter's digit limit. tuple.__new__ builds
+    # each point in C, without the Python-level NamedTuple __new__.
+    fields = zip(ids, *[map(int, column) for column in counts], map(dict, pairs))
+    return list(map(tuple.__new__, repeat(FrontierPoint), fields))
 
 
 def _read_frontier_rows(path: str | Path) -> tuple[list[FrontierPoint], list[str]]:

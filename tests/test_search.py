@@ -10,7 +10,6 @@ import itertools
 import logging
 import random
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -308,17 +307,14 @@ class TestFrontierPoints:
 
 # Frontier cells: well-formed ones, and ones the reader must refuse.
 VALID_COUNT = st.integers(0, 10**12).map(str)
-VALID_METRIC = st.one_of(st.just(""), st.floats(-1e6, 1e6).map(repr))
-BAD_COUNT = st.sampled_from(
-    ["", "+1", " 1", "1_0", "\u0661", "\u00b2", "1" * 5000, "1.5", "-3", "0x1"]
-)
-BAD_METRIC = st.sampled_from(
-    ["nan", "inf", "-inf", "1e400", "abc", "7_0", "\u0667\u0660", "1" * 5000]
-)
+VALID_METRIC = st.floats(-1e6, 1e6).map(repr)
+BAD_COUNTS = ["", "+1", " 1", "1_0", "\u0661", "\u00b2", "1" * 5000, "1.5", "-3", "0x1"]
+BAD_METRICS = ["nan", "inf", "-inf", "1e400", "abc", "7_0", "\u0667\u0660", "1" * 5000]
+BAD_COUNT = st.sampled_from(BAD_COUNTS)
+BAD_METRIC = st.sampled_from(BAD_METRICS)
 ODD_IDS = st.sampled_from(["c0", "x,y", "x\ny", '"q"', "", " c1"])
-# Most rows stay well-formed, so that one fault is often a file's only one.
 FAULTS = st.sampled_from(
-    [None] * 6 + ["count", "metric", "id", "short", "long", "blank", "repeat"]
+    ["count", "metric", "unannotated", "id", "short", "long", "blank", "repeat"]
 )
 HEADER_FAULTS = st.sampled_from([None] * 8 + ["repeated", "short"])
 
@@ -350,39 +346,62 @@ class TestFrontierReader:
             header.append(header[-1])
         elif header_fault == "short":
             del header[data.draw(st.integers(0, len(header) - 1)) :]
-        rows = []
-        for i in range(data.draw(st.integers(0, 8))):
-            row = [f"c{i}", *data.draw(st.lists(VALID_COUNT, min_size=4, max_size=4))]
-            row += data.draw(st.lists(VALID_METRIC, min_size=len(metrics), max_size=len(metrics)))
-            fault = data.draw(FAULTS)
+        rows = [
+            [f"c{i}", *data.draw(st.lists(VALID_COUNT, min_size=4, max_size=4))]
+            + data.draw(st.lists(VALID_METRIC, min_size=len(metrics), max_size=len(metrics)))
+            for i in range(data.draw(st.integers(0, 8)))
+        ]
+        # At most two faulty rows, so that a fault is often a file's only one.
+        faults = data.draw(st.lists(
+            st.tuples(FAULTS, st.integers(0, max(len(rows) - 1, 0))),
+            max_size=min(len(rows), 2), unique_by=lambda fault: fault[1],
+        ))
+        for fault, i in faults:
+            row = rows[i]
             if fault == "count":
                 row[data.draw(st.integers(1, 4))] = data.draw(BAD_COUNT)
             elif fault == "metric" and metrics:
                 row[data.draw(st.integers(5, len(row) - 1))] = data.draw(BAD_METRIC)
+            elif fault == "unannotated" and metrics:
+                row[data.draw(st.integers(5, len(row) - 1))] = ""
             elif fault == "id":
                 row[0] = data.draw(ODD_IDS)
             elif fault == "short":
                 del row[data.draw(st.integers(0, len(row) - 1)) :]
             elif fault == "long":
                 row.append("1")
-            elif fault == "blank":
-                rows.append([])
-            elif fault == "repeat" and any(rows):
-                row[0] = data.draw(st.sampled_from([r for r in rows if r]))[0]
-            rows.append(row)
+            elif fault == "repeat":
+                row[0] = f"c{data.draw(st.integers(0, len(rows) - 1))}"
+        for fault, i in sorted(faults, key=lambda fault: -fault[1]):
+            if fault == "blank":
+                rows.insert(i, [])
         buf = io.StringIO(newline="")
         writer = csv.writer(buf, lineterminator=data.draw(st.sampled_from(["\n", "\r\n"])))
         writer.writerows([header, *rows])
         path = tmp_path_factory.mktemp("frontier") / "frontier.csv"
         path.write_bytes(buf.getvalue().encode("utf-8"))
         want = frontier_outcome(search._read_frontier_rows, path)
-        # Small blocks put a repeated id or a short row in a later block.
-        with mock.patch.object(search, "_BLOCK_ROWS", data.draw(st.sampled_from([1, 2, 256]))):
-            assert frontier_outcome(read_frontier_csv, path) == want
+        assert frontier_outcome(read_frontier_csv, path) == want
+
+    @pytest.mark.parametrize(
+        "column, cell",
+        [(4, cell) for cell in BAD_COUNTS] + [(6, cell) for cell in ["", *BAD_METRICS]],
+    )
+    def test_one_bad_cell_equals_the_row_loop(self, tmp_path, column, cell):
+        # The sampled faults above reach each cell now and then; this reaches each every run.
+        rows = [[f"c{i}", "1", "2", "3", "5", "70.5", "90"] for i in range(3)]
+        rows[1][column] = cell
+        buf = io.StringIO(newline="")
+        csv.writer(buf).writerows([[*FRONTIER_COLUMNS, "top1", "top5"], *rows])
+        path = tmp_path / "frontier.csv"
+        path.write_text(buf.getvalue(), encoding="utf-8", newline="")
+        want = frontier_outcome(search._read_frontier_rows, path)
+        assert want[0] is ValueError or cell == ""
+        assert frontier_outcome(read_frontier_csv, path) == want
 
     def test_well_formed_file_skips_the_row_loop(self, tmp_path, monkeypatch):
         lines = [",".join(FRONTIER_COLUMNS + ("top1", "top5"))]
-        lines += [f"c{i},{i},{i + 1},{i + 2},{2 * i + 3},{70 + i / 8},{'' if i % 3 else 90}"
+        lines += [f"c{i},{i},{i + 1},{i + 2},{2 * i + 3},{70 + i / 8},{90 + i % 3}"
                   for i in range(600)]
         lines.insert(7, "")  # a blank line
         lines.insert(9, '"x,\r\ny",1,2,3,5,70,90')  # a quoted line break
@@ -395,7 +414,7 @@ class TestFrontierReader:
         assert metrics == ["top1", "top5"] and len(points) == 601
         assert points[7] == ("x,\ny", 1, 2, 3, 5, {"top1": 70.0, "top5": 90.0})
         assert points[0].annotations == {"top1": 70.0, "top5": 90.0}
-        assert points[2].annotations == {"top1": 70.25}
+        assert points[2].annotations == {"top1": 70.25, "top5": 92.0}
         # CRLF reads as LF, in a cell too.
         path.write_bytes(b"".join(line.encode() + b"\n" for line in lines).replace(b"\r", b""))
         assert read_frontier_csv(path) == (points, metrics)
