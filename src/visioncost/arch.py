@@ -69,26 +69,6 @@ class FlopConvention(str, Enum):
     FULL_COUNT = "full_count"
 
 
-class _TensorShape(NamedTuple):
-    dims: tuple[int, ...]
-
-
-class TensorShape(_TensorShape):
-    """Per-sample tensor shape; the batch dimension is tracked separately."""
-
-    __slots__ = ()
-
-    def __new__(cls, dims: tuple[int, ...]) -> TensorShape:
-        if not dims:
-            raise ValueError("TensorShape needs at least one dimension")
-        if any(d < 1 for d in dims):
-            raise ValueError(f"all dims must be >= 1, got {dims}")
-        return super().__new__(cls, dims)
-
-    def __str__(self) -> str:
-        return "x".join(str(d) for d in self.dims)
-
-
 # --------------------------------------------------------------------------
 # CNN layer vocabulary.
 #

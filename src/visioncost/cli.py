@@ -68,8 +68,9 @@ from .search import (
     SweepAxis,
     SweepSpace,
     TargetUnreachable,
+    _cut,
     best_compressed,
-    evaluate_space,
+    enumerate_space,
     match_flops_budget,
     pareto_front,
     point_from_report,
@@ -404,7 +405,7 @@ def _cmd_sweep(args: argparse.Namespace, argv: Sequence[str]) -> int:
 
     skipped: list[SkippedConfig] = []
     try:
-        evaluated = evaluate_space(space, skipped)
+        evaluated = enumerate_space(space, skipped)
     except SpaceTooLarge as exc:
         raise CliError(EXIT_VALIDATION, "space_too_large", str(exc)) from None
 
@@ -414,7 +415,6 @@ def _cmd_sweep(args: argparse.Namespace, argv: Sequence[str]) -> int:
     # combination leaves an earlier run's output as it was), and committed
     # by renames after the last write: a run that fails before them leaves
     # the previous output whole.
-    annotations = table.by_config()
     out_dir = Path(args.out)
     staging: Path | None = None
     points: list[FrontierPoint] = []
@@ -425,17 +425,26 @@ def _cmd_sweep(args: argparse.Namespace, argv: Sequence[str]) -> int:
                 staging = out_dir / f".sweep-{os.urandom(6).hex()}"
                 (staging / "reports").mkdir(parents=True)
             cid = config.config_id
-            point = point_from_report(cid, report, annotations.get(cid))
+            point = point_from_report(cid, report, table.for_config(cid))
             points.append(point)
             head = json.dumps(
-                {"config_id": cid, "annotations": dict(sorted(point.annotations.items()))},
-                separators=(",", ":"),
+                {"config_id": cid, "annotations": point.annotations}, separators=(",", ":")
             )
             text = f'{head[:-1]},"report":{report_to_json(report, indent=None)}}}\n'
             (staging / "reports" / _safe_filename(cid)).write_text(text, encoding="utf-8")
         if staging is None:
             raise CliError(
                 EXIT_INFEASIBLE, "infeasible", "every combination in the space was rejected"
+            )
+        swept = {p.config_id for p in points}
+        unmatched = [cid for cid, _ in table.values if cid not in swept]
+        if unmatched:
+            ids = list(dict.fromkeys(unmatched))
+            logger.warning(
+                "%d annotation(s) name no config of the sweep; ignored: %s%s",
+                len(unmatched),
+                ", ".join(map(_cut, ids[:5])),
+                ", ..." if len(ids) > 5 else "",
             )
 
         metrics = table.metrics()
@@ -450,7 +459,12 @@ def _cmd_sweep(args: argparse.Namespace, argv: Sequence[str]) -> int:
         plot_rows = ([";".join(p.config_id.rsplit(";", n)[1:-1]) or kind, *p[:-1]] for p in points)
         _write_table(staging / "plot.tsv", ["series", *FRONTIER_COLUMNS], plot_rows, delimiter="\t")
         manifest = _manifest(argv, input_files, space.base_eval)
-        manifest.update(configs=len(points), skipped=len(skipped))
+        manifest.update(
+            configs=len(points),
+            skipped=len(skipped),
+            annotations_matched=len(table) - len(unmatched),
+            annotations_unmatched=len(unmatched),
+        )
         manifest_text = json.dumps(manifest, indent=2) + "\n"
         (staging / "manifest.json").write_text(manifest_text, encoding="utf-8")
 

@@ -46,7 +46,6 @@ from .arch import (
     Pool,
     ResidualAdd,
     Resize,
-    TensorShape,
     ViTSpec,
 )
 
@@ -84,7 +83,7 @@ MAX_REPORT_ROWS = 1_000_000
 class LayerCost(NamedTuple):
     layer_index: int
     name: str
-    out_shape: TensorShape
+    out_shape: tuple[int, ...]  # per sample: the batch is tracked on the report
     flops: int
     activation_bytes: int
     param_count: int
@@ -156,7 +155,6 @@ def _cnn_walk(
     size = spec.input_channels * res * res  # its element count
     shapes: list[tuple[int, int, int]] = []  # per layer output
     sizes: list[int] = []
-    tensor_shapes: dict[tuple[int, ...], TensorShape] = {}  # one per distinct dims
     rows: list[LayerCost] = []
     flops = params = 0
     peak = float("-inf")  # the largest row, even a negative one of an unvalidated spec
@@ -247,11 +245,8 @@ def _cnn_walk(
         sizes.append(out_size)
         shape, size = out, out_size
         dims = (out[0],) if kind is Linear else out
-        out_shape = tensor_shapes.get(dims)
-        if out_shape is None:
-            out_shape = tensor_shapes[dims] = TensorShape(dims)
         act *= be
-        rows.append(_new_tuple(LayerCost, (i, name, out_shape, f, act, w)))
+        rows.append(_new_tuple(LayerCost, (i, name, dims, f, act, w)))
         flops += f
         params += w
         if act > peak:
@@ -259,8 +254,8 @@ def _cnn_walk(
     return tuple(rows), flops, peak if rows else 0, params
 
 
-# No src/ caller; perfbench/spans.py patches it, so --trace 1 needs it. ROADMAP item 2 deletes it.
-def propagate_shapes(spec: CnnSpec, cfg: EvalConfig) -> list[TensorShape]:
+# No src/ caller; perfbench/spans.py patches it, so --trace 1 needs it.
+def propagate_shapes(spec: CnnSpec, cfg: EvalConfig) -> list[tuple[int, ...]]:
     """Per-layer output shapes; raises InfeasibleResolution / ShapeMismatch."""
     return [c.out_shape for c in _cnn_walk(spec, cfg)[0]]
 
@@ -304,8 +299,7 @@ def vit_cost_closed(
     block_flops = vit_block_flops_closed(n, spec.hidden_dim, spec.num_heads, spec.mlp_dim)
     block_act = vit_block_activation_elems_closed(n, spec.hidden_dim, spec.mlp_dim)
     block_params = vit_block_params_closed(spec.hidden_dim, spec.mlp_dim)
-    out_shape = TensorShape((n * n, spec.hidden_dim)) if spec.depth > 0 else None
-    row = (out_shape, b * block_flops, block_act * b * e, block_params)
+    row = ((n * n, spec.hidden_dim), b * block_flops, block_act * b * e, block_params)
     per_layer = tuple(_new_tuple(LayerCost, (i, f"block{i}", *row)) for i in range(spec.depth))
     peak = block_act * b * e if spec.depth > 0 else 0
     return per_layer, b * block_flops * spec.depth, peak, block_params * spec.depth
@@ -340,9 +334,9 @@ def vit_cost_full(
     in_ch = spec.input_channels
     classes = spec.num_classes
 
-    token_shape = TensorShape((n2, d))
-    score_shape = TensorShape((k, n2, n2))
-    mlp_shape = TensorShape((n2, mlp))
+    token_shape = (n2, d)
+    score_shape = (k, n2, n2)
+    mlp_shape = (n2, mlp)
     norm = (_LAYER_NORM_FLOPS_PER_ELEM * n2 * d, 2 * n2 * d, 2 * d)
     # (name, out_shape, flops, activation_elems, params) per sample
     block = [
@@ -371,8 +365,8 @@ def vit_cost_full(
             in_ch * p * p * d,
         ),
         ("final_norm", token_shape, *norm),
-        ("head_pool", TensorShape((d,)), n2 * d, n2 * d + d, 0),
-        ("head_linear", TensorShape((classes,)), 2 * d * classes, d + classes, d * classes),
+        ("head_pool", (d,), n2 * d, n2 * d + d, 0),
+        ("head_linear", (classes,), 2 * d * classes, d + classes, d * classes),
     ]
     # With batch and element width folded in, each op is a LayerCost row
     # without its index: (name, out_shape, flops, activation_bytes, params).
@@ -452,13 +446,13 @@ def _check_printable(report: CostReport) -> None:
 
 
 def _shape_text(report: CostReport) -> list[str]:
-    """``str(c.out_shape)`` per row, each distinct shape formatted once (keyed
-    by its dims tuple, which hashes in C; a TensorShape hashes in Python)."""
+    """Each row's ``out_shape`` as text, its dims joined by ``x``
+    (``64x112x112``), each distinct shape formatted once."""
     text: dict[tuple[int, ...], str] = {}
     for c in report.per_layer:
-        if c.out_shape.dims not in text:
-            text[c.out_shape.dims] = str(c.out_shape)
-    return [text[c.out_shape.dims] for c in report.per_layer]
+        if c.out_shape not in text:
+            text[c.out_shape] = "x".join(map(str, c.out_shape))
+    return [text[c.out_shape] for c in report.per_layer]
 
 
 def _report_header(report: CostReport) -> dict[str, Any]:

@@ -17,6 +17,7 @@ import csv
 import io
 import logging
 import math
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import groupby, product, repeat
@@ -74,19 +75,13 @@ class SkippedConfig(NamedTuple):
     reason: str
 
 
-# Returned only by enumerate_space, which perfbench/spans.py patches; ROADMAP item 2 deletes both.
-class EnumeratedSweep(NamedTuple):
-    configs: tuple[ScaledConfig, ...]
-    skipped: tuple[SkippedConfig, ...]
-
-
 def _cut(text: str) -> str:
     """``text``, or its first 199 characters and an ellipsis when longer
     than 200: a skip line stays short however large an axis value is."""
     return text if len(text) <= 200 else text[:199] + "\u2026"
 
 
-def evaluate_space(
+def enumerate_space(
     space: SweepSpace, skipped: list[SkippedConfig]
 ) -> Iterator[tuple[ScaledConfig, CostReport]]:
     """Build and cost each combination of the axes, in order (first axis
@@ -142,15 +137,6 @@ def evaluate_space(
             )
 
     return walk(0, space.base_spec, space.base_eval, (), ())
-
-
-# No src/ caller; perfbench/spans.py patches it, so --trace 1 needs it. ROADMAP item 2 deletes it.
-def enumerate_space(space: SweepSpace) -> EnumeratedSweep:
-    """Every config of the space that costs, in order; rejected combos are
-    recorded."""
-    skipped: list[SkippedConfig] = []
-    configs = tuple(config for config, _ in evaluate_space(space, skipped))
-    return EnumeratedSweep(configs=configs, skipped=tuple(skipped))
 
 
 # --------------------------------------------------------------------------
@@ -227,10 +213,14 @@ def _ascii_float(text: str) -> float:
 
 
 class AnnotationTable:
-    """(config id, metric) -> value table, typically loaded from CSV."""
+    """(config id, metric) -> value table, typically loaded from CSV; its
+    values are grouped by config id once, when the table is built."""
 
     def __init__(self, values: dict[tuple[str, str], float] | None = None) -> None:
         self.values = {} if values is None else values
+        self._grouped: dict[str, dict[str, float]] = {}
+        for (cid, metric), value in sorted(self.values.items()):
+            self._grouped.setdefault(cid, {})[metric] = value
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "AnnotationTable":
@@ -245,7 +235,7 @@ class AnnotationTable:
                 f"annotation header must be {','.join(ANNOTATION_HEADER)}, "
                 f"got {','.join(header)}"
             )
-        table = cls()
+        values: dict[tuple[str, str], float] = {}
         first_line: dict[tuple[str, str], int] = {}
         last = reader.line_num
         for row in reader:
@@ -275,21 +265,12 @@ class AnnotationTable:
             if not math.isfinite(value):
                 raise ValueError(f"line {lineno}: value {raw!r} is not finite")
             first_line[key] = lineno
-            table.values[key] = value
-        return table
+            values[key] = value
+        return cls(values)
 
-    # No src/ caller; perfbench/spans.py patches it, so --trace 1 needs it. ROADMAP item 2 deletes it.
     def for_config(self, config_id: str) -> dict[str, float]:
-        return dict(
-            sorted((m, value) for (cid, m), value in self.values.items() if cid == config_id)
-        )
-
-    def by_config(self) -> dict[str, dict[str, float]]:
-        """Every config's annotations, each ordered by metric, in one pass."""
-        grouped: dict[str, dict[str, float]] = {}
-        for (cid, metric), value in sorted(self.values.items()):
-            grouped.setdefault(cid, {})[metric] = value
-        return grouped
+        """A copy of the id's annotations, ordered by metric ({} if none)."""
+        return dict(self._grouped.get(config_id, ()))
 
     def metrics(self) -> list[str]:
         return sorted({metric for _, metric in self.values})
@@ -487,7 +468,8 @@ def match_flops_budget(
     ``tol`` is relative, read as the shortest decimal that round-trips it
     (0.3 is 3/10); when given and missed, the bracketing pair around the
     target is attached. ``relaxed_value`` is the interpolated continuous
-    knob value that would hit the target exactly.
+    knob value that would hit the target exactly, so a range that ends past
+    the largest float raises ValueError before any probe.
     """
     if knob not in MATCH_RANGES:
         raise ValueError(f"knob {knob.value!r} is not supported for budget matching")
@@ -506,6 +488,10 @@ def match_flops_budget(
             f"knob range [{lo}, {hi}] is too wide to bisect in "
             f"{MAX_BISECTION_ITERATIONS} steps"
         )
+    # relaxed_value is a float, so it cannot be written past the largest one;
+    # an int compares with a float exactly, with no rounding.
+    if hi > sys.float_info.max:
+        raise ValueError(f"knob range ends past the largest float, {sys.float_info.max!r}")
 
     def build(value: int) -> ScaledConfig:
         return make_config(

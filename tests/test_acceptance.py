@@ -10,7 +10,6 @@ import contextlib
 import json
 import random
 
-import numpy as np
 import pytest
 
 from visioncost.arch import (
@@ -40,7 +39,7 @@ from visioncost.search import (
     SweepSpace,
     TargetUnreachable,
     best_compressed,
-    evaluate_space,
+    enumerate_space,
     match_flops_budget,
     pareto_front,
     point_from_report,
@@ -155,11 +154,11 @@ def test_criterion_5_token_patch_tradeoff_structure():
             ),
         )
         skipped = []
-        annotations = AnnotationTable().by_config()
+        table = AnnotationTable()
         by_tokens = {}
-        for config, report in evaluate_space(space, skipped):
+        for config, report in enumerate_space(space, skipped):
             cid = config.config_id
-            point = point_from_report(cid, report, annotations.get(cid))
+            point = point_from_report(cid, report, table.for_config(cid))
             by_tokens.setdefault(config.eval.input_resolution, []).append(point)
         assert not skipped
         assert sorted(by_tokens) == [9, 11]
@@ -218,28 +217,32 @@ def test_criterion_6_residual_classifier_anchor():
 def test_criterion_7_dominance_filter_equals_brute_force():
     with criterion(7, "non-dominated filtering equals an O(n^2) brute-force scan "
                       "on 1000 random point sets and is idempotent"):
-        rng = np.random.default_rng(7)
+        rng = random.Random(7)
         for _ in range(1000):
-            n = int(rng.integers(1, 301))
-            vals = rng.integers(0, 60, size=(n, 2)).astype(np.int64)
+            n = rng.randint(1, 300)
+            vals = [(rng.randrange(60), rng.randrange(60)) for _ in range(n)]
             if n > 2:  # exact duplicates must survive together
-                vals[rng.integers(0, n, n // 4)] = vals[rng.integers(0, n, n // 4)]
+                src = [vals[rng.randrange(n)] for _ in range(n // 4)]
+                for v in src:
+                    vals[rng.randrange(n)] = v
             points = [
                 FrontierPoint(
                     config_id=f"p{i:03d}",
-                    flops=int(v[0]),
+                    flops=f,
                     peak_activation_bytes=1,
                     model_bytes=1,
-                    total_memory_bytes=int(v[1]),
+                    total_memory_bytes=m,
                     annotations={},
                 )
-                for i, v in enumerate(vals)
+                for i, (f, m) in enumerate(vals)
             ]
-            # brute force: vals[j] <= vals[i] everywhere and < somewhere
-            le = (vals[None, :, :] <= vals[:, None, :]).all(axis=2)
-            lt = (vals[None, :, :] < vals[:, None, :]).any(axis=2)
-            dominated = (le & lt).any(axis=1)
-            want = sorted(p.config_id for p, d in zip(points, dominated) if not d)
+            # brute force: some w <= v everywhere and < somewhere (w != v)
+            distinct = set(vals)
+            dominated = {
+                v for v in distinct
+                if any(w[0] <= v[0] and w[1] <= v[1] and w != v for w in distinct)
+            }
+            want = sorted(p.config_id for p, v in zip(points, vals) if v not in dominated)
 
             front = pareto_front(points)
             got = [p.config_id for p in front]

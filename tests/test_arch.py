@@ -21,7 +21,6 @@ from visioncost.arch import (
     Pool,
     ResidualAdd,
     Resize,
-    TensorShape,
     ViTSpec,
     dtype_from_name,
     save_spec,
@@ -75,18 +74,6 @@ class TestDtypes:
     def test_bad_width_rejected(self, nbytes):
         with pytest.raises(ValueError):
             DTypeDesc("weird", nbytes)
-
-
-class TestTensorShape:
-    def test_str_uses_x_separator(self):
-        assert str(TensorShape((64, 112, 112))) == "64x112x112"
-        assert str(TensorShape((196, 384))) == "196x384"
-
-    def test_empty_and_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            TensorShape(())
-        with pytest.raises(ValueError):
-            TensorShape((4, 0))
 
 
 class TestCnnValidation:

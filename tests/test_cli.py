@@ -671,6 +671,40 @@ class TestSweep:
         warnings = [r.getMessage() for r in caplog.records if "empty" in r.getMessage()]
         assert warnings == [f"annotation table {ann} is empty"]
 
+    def test_annotations_naming_no_config_warn_once(self, run, tmp_path, caplog):
+        space = write_space(tmp_path / "s.json", "vit_small", ("N", [9, 11]))
+        ann = tmp_path / "ann.csv"
+        ann.write_text(
+            "config_id,metric,value\n"
+            "vit_small;N=9,top1,0.7\n"
+            "vit_small;N=09,top1,0.6\n"  # ids are matched as written
+            "vit_small;n=11,top1,0.8\n"
+        )
+        out_dir = tmp_path / "out"
+        with caplog.at_level(logging.WARNING):
+            code, _, _ = run("sweep", space, "--out", out_dir, "--annotations", ann)
+        assert code == 0
+        assert [r.getMessage() for r in caplog.records] == [
+            "2 annotation(s) name no config of the sweep; ignored: "
+            "vit_small;N=09, vit_small;n=11"
+        ]
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert (manifest["annotations_matched"], manifest["annotations_unmatched"]) == (1, 2)
+        rows = (out_dir / "frontier.csv").read_text().splitlines()[1:]
+        assert [row.rsplit(",", 1)[1] for row in rows] == ["0.7", ""]
+
+    def test_unmatched_annotation_warning_names_five_ids(self, run, tmp_path, caplog):
+        space = write_space(tmp_path / "s.json", "vit_small", ("N", [9]))
+        ann = tmp_path / "ann.csv"
+        rows = [f"x{i},{metric},0.5" for metric in ("a", "b") for i in (3, 1, 4, 5, 9, 2)]
+        ann.write_text("config_id,metric,value\n" + "\n".join(rows) + "\n")
+        with caplog.at_level(logging.WARNING):
+            assert run("sweep", space, "--out", tmp_path / "out", "--annotations", ann)[0] == 0
+        # every row is counted; each id is named once, in file order
+        assert [r.getMessage() for r in caplog.records] == [
+            "12 annotation(s) name no config of the sweep; ignored: x3, x1, x4, x5, x9, ..."
+        ]
+
     def test_each_skip_is_logged_once(self, run, tmp_path, caplog):
         space = write_space(tmp_path / "s.json", "vit_small", ("depth", [0, 6, -1]))
         with caplog.at_level(logging.WARNING):
@@ -1331,6 +1365,20 @@ class TestMatch:
         payload = json.loads(err)
         assert payload["error"] == "match"
         assert "too wide to bisect" in payload["message"]
+
+    def test_range_past_the_largest_float(self, run, vit_file):
+        # relaxed_value, a float, cannot be written for knob values this large
+        lo, hi = 10**400, 10**400 + 64
+        target = cost_report(vit_small(), EvalConfig(input_resolution=lo + 32)).flops
+        code, out, err = run(
+            "match", vit_file, "--knob", "resolution", "--target-flops", target,
+            "--min-value", lo, "--max-value", hi,
+        )
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "match"
+        assert "past the largest float" in payload["message"]
 
     def test_non_string_spec_name_is_a_spec_error(self, run, tmp_path):
         data = spec_to_dict(vit_small())

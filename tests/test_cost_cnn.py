@@ -299,7 +299,7 @@ def test_every_row_matches_the_oracle(case):
         return
     rep = cost_report(spec, cfg)
     got = [
-        (c.layer_index, c.name, c.out_shape.dims, c.flops, c.activation_bytes, c.param_count)
+        (c.layer_index, c.name, c.out_shape, c.flops, c.activation_bytes, c.param_count)
         for c in rep.per_layer
     ]
     assert got == [(i, *row) for i, row in enumerate(want)]
@@ -363,7 +363,7 @@ class TestWalk:
         )
         rep = cost_report(spec, EvalConfig(input_resolution=16))
         # projection output matches the main path: 8 x 8 x 8
-        assert str(rep.per_layer[2].out_shape) == "8x8x8"
+        assert rep.per_layer[2].out_shape == (8, 8, 8)
         want = oracle_totals(spec, 16)
         assert rep.flops == want[0]
 
@@ -409,7 +409,7 @@ class TestWalk:
     def test_resize_changes_only_spatial_dims(self):
         spec = stack(Conv2d(3, 8, kernel=3, padding=1), Resize(target_hw=50))
         rep = cost_report(spec, EvalConfig(input_resolution=20))
-        assert str(rep.per_layer[1].out_shape) == "8x50x50"
+        assert rep.per_layer[1].out_shape == (8, 50, 50)
         assert rep.per_layer[1].flops == 8 * 50 * 50
 
     def test_csv_report_shape(self):

@@ -266,7 +266,7 @@ def oracle_full_rows(spec: ViTSpec, n: int, batch: int, bytes_per_element: int):
             for dim in shape:
                 elems[j] *= dim
         rows.append(
-            (name, "x".join(map(str, out)), batch * flops,
+            (name, out, batch * flops,
              batch * bytes_per_element * sum(elems), params)
         )
 
@@ -315,7 +315,7 @@ class TestFullCountRows:
                     ))
                     want = oracle_full_rows(spec, n, batch, dtype.bytes_per_element)
                     got = [
-                        (c.name, str(c.out_shape), c.flops, c.activation_bytes, c.param_count)
+                        (c.name, c.out_shape, c.flops, c.activation_bytes, c.param_count)
                         for c in rep.per_layer
                     ]
                     assert got == want

@@ -16,7 +16,7 @@ from visioncost.presets import (
     vit_small,
 )
 from visioncost.scaling import TransformKind
-from visioncost.search import SweepAxis, SweepSpace, evaluate_space
+from visioncost.search import SweepAxis, SweepSpace, enumerate_space
 
 
 def evaluate(base_name, base_spec, base_eval, *axes):
@@ -28,7 +28,7 @@ def evaluate(base_name, base_spec, base_eval, *axes):
         axes=tuple(SweepAxis(kind, values) for kind, values in axes),
     )
     skipped = []
-    configs = [config for config, _ in evaluate_space(space, skipped)]
+    configs = [config for config, _ in enumerate_space(space, skipped)]
     return space, configs, skipped
 
 
@@ -97,11 +97,11 @@ class TestResnet:
 
     def test_stage_shapes(self):
         rep = cost_report(resnet50(), EvalConfig(input_resolution=224))
-        shapes = [str(c.out_shape) for c in rep.per_layer]
-        assert "64x112x112" in shapes   # stem
-        assert "256x56x56" in shapes    # stage 1
-        assert "2048x7x7" in shapes     # stage 4
-        assert shapes[-1] == "1000"
+        shapes = [c.out_shape for c in rep.per_layer]
+        assert (64, 112, 112) in shapes   # stem
+        assert (256, 56, 56) in shapes    # stage 1
+        assert (2048, 7, 7) in shapes     # stage 4
+        assert shapes[-1] == (1000,)
 
     def test_fcr_variant_shrinks_compute_and_peak_but_not_params(self):
         base = cost_report(resnet50(), EvalConfig(input_resolution=224))
@@ -114,8 +114,8 @@ class TestResnet:
         # at a 112 input the stem conv yields 56x56 maps; the resized
         # variant must hit the same grid so later stages are unchanged
         rep = cost_report(resnet50_fcr(112), EvalConfig(input_resolution=224))
-        shapes = [str(c.out_shape) for c in rep.per_layer]
-        assert "64x56x56" in shapes
+        shapes = [c.out_shape for c in rep.per_layer]
+        assert (64, 56, 56) in shapes
         small = cost_report(resnet50(), EvalConfig(input_resolution=112))
         # identical cost from the resize onward: totals differ only by the
         # stem conv (224 vs 112 input) plus the resize op itself

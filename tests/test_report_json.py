@@ -6,8 +6,8 @@ import json
 import pytest
 
 from visioncost.arch import DTYPES, CnnSpec, EvalConfig, FlopConvention
-from visioncost.cost import cost_report, report_to_dict, report_to_json
-from visioncost.presets import PRESETS, vit_small
+from visioncost.cost import cost_report, report_to_csv, report_to_dict, report_to_json
+from visioncost.presets import PRESETS, resnet50, vit_small
 
 ODD_NAME = 'a"quote\\back\né☃'
 
@@ -73,3 +73,24 @@ def test_escapes_layer_names_like_the_encoder():
     assert text.isascii()
     assert json.loads(text)["per_layer"][0]["name"] == f"{ODD_NAME}/0\n\t\x00"
     assert report_to_json(report) == indented(report)
+
+
+@pytest.mark.parametrize(
+    "spec, cfg, name, dims, text",
+    [
+        (resnet50(), EvalConfig(input_resolution=224), "conv2d", (64, 112, 112), "64x112x112"),
+        (vit_small(), EvalConfig(flop_convention=FlopConvention.FULL_COUNT),
+         "patch_embed", (196, 384), "196x384"),
+    ],
+    ids=["resnet50_stem", "vit_small_patch_embed"],
+)
+def test_writers_print_dims_joined_by_x(spec, cfg, name, dims, text):
+    """A row's ``out_shape`` is a plain tuple of per-sample dims; the CSV and
+    both JSON layouts write it as the dims joined by ``x``."""
+    report = cost_report(spec, cfg)
+    row = report.per_layer[0]
+    assert (row.name, row.out_shape) == (name, dims)
+    assert type(row.out_shape) is tuple
+    assert report_to_csv(report).splitlines()[1].split(",")[2] == text
+    for indent in (None, 2):
+        assert json.loads(report_to_json(report, indent))["per_layer"][0]["out_shape"] == text

@@ -9,10 +9,11 @@ import io
 import itertools
 import logging
 import random
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import visioncost.scaling
@@ -34,7 +35,6 @@ from visioncost.search import (
     TargetUnreachable,
     best_compressed,
     enumerate_space,
-    evaluate_space,
     match_flops_budget,
     pareto_front,
     point_from_report,
@@ -71,8 +71,9 @@ class TestEnumerate:
         space = vit_space(
             [SweepAxis(K.RESOLUTION, (9, 11)), SweepAxis(K.DEPTH, (6, 12))]
         )
-        enum = enumerate_space(space)
-        ids = [c.config_id for c in enum.configs]
+        skipped = []
+        ids = [c.config_id for c, _ in enumerate_space(space, skipped)]
+        assert skipped == []
         assert ids == [
             "vit_small;N=9;depth=6",
             "vit_small;N=9;depth=12",
@@ -82,22 +83,26 @@ class TestEnumerate:
 
     def test_cap_enforced_before_any_work(self):
         space = vit_space([SweepAxis(K.DEPTH, tuple(range(1, 101)))], cap=50)
-        with pytest.raises(SpaceTooLarge):
-            enumerate_space(space)
+        skipped = []
+        # at the call, not at the first next(): nothing here iterates it
+        with pytest.raises(SpaceTooLarge, match="100 combinations, cap is 50"):
+            enumerate_space(space, skipped)
+        assert skipped == []
 
     def test_invalid_combinations_are_skipped_with_reason(self):
         space = vit_space([SweepAxis(K.DEPTH, (0, 6))])  # depth 0 is invalid
-        enum = enumerate_space(space)
-        assert len(enum.configs) == 1
-        assert len(enum.skipped) == 1
-        assert enum.skipped[0].values == (0,)
-        assert enum.skipped[0].reason
+        skipped = []
+        configs = [c for c, _ in enumerate_space(space, skipped)]
+        assert [c.config_id for c in configs] == ["vit_small;depth=6"]
+        assert len(skipped) == 1
+        assert skipped[0].values == (0,)
+        assert skipped[0].reason
 
     def test_skip_line_is_cut_but_the_record_is_whole(self, caplog):
         value = -int("1" * 2200)
         skipped = []
         with caplog.at_level(logging.WARNING):
-            assert list(evaluate_space(vit_space([SweepAxis(K.HIDDEN, (value,))]), skipped)) == []
+            assert list(enumerate_space(vit_space([SweepAxis(K.HIDDEN, (value,))]), skipped)) == []
         assert skipped == [SkippedConfig((value,), f"hidden size must be >= 1, got {value}")]
         (message,) = [r.getMessage() for r in caplog.records]
         combo, reason = message.removeprefix("skipping ").split(": ", 1)
@@ -108,7 +113,7 @@ class TestEnumerate:
     def test_evaluate_costs_each_config_once_in_order(self):
         space = vit_space([SweepAxis(K.DEPTH, (0, 6, 12))])
         skipped = []
-        pairs = list(evaluate_space(space, skipped))
+        pairs = list(enumerate_space(space, skipped))
         assert [c.config_id for c, _ in pairs] == ["vit_small;depth=6", "vit_small;depth=12"]
         for config, report in pairs:
             assert report == cost_report(config.spec, config.eval)
@@ -118,9 +123,9 @@ class TestEnumerate:
         # the linear layer reads the 2*62*62 map of a 64-pixel input only
         spec = CnnSpec("flat", 3, (Conv2d(3, 2, kernel=3), Linear(2 * 62 * 62, 10)))
         space = SweepSpace("flat", spec, EvalConfig(), (SweepAxis(K.RESOLUTION, (64, 32)),))
-        enum = enumerate_space(space)
-        assert [c.config_id for c in enum.configs] == ["flat;N=64"]
-        assert "does not match flattened input size 1800" in enum.skipped[0].reason
+        skipped = []
+        assert [c.config_id for c, _ in enumerate_space(space, skipped)] == ["flat;N=64"]
+        assert "does not match flattened input size 1800" in skipped[0].reason
 
     @pytest.mark.parametrize(
         "space",
@@ -164,7 +169,7 @@ class TestEnumerate:
                 want_skipped.append(SkippedConfig(combo, str(exc)))
         skipped = []
         with caplog.at_level(logging.WARNING):
-            got = list(evaluate_space(space, skipped))
+            got = list(enumerate_space(space, skipped))
         assert got == want
         assert [c.config_id for c, _ in got] == [c.config_id for c, _ in want]
         assert skipped == want_skipped
@@ -186,7 +191,7 @@ class TestEnumerate:
             (SweepAxis(K.WIDTH, (0.5, 0.75, 1.0)), SweepAxis(K.RESOLUTION, (32, 64)),
              SweepAxis(K.BATCH, (1, 2))),
         )
-        assert len(list(evaluate_space(space, []))) == 12
+        assert len(list(enumerate_space(space, []))) == 12
         assert calls == [0.5, 0.75, 1.0]
 
     def test_size_property(self):
@@ -267,14 +272,29 @@ class TestAnnotationTable:
         with pytest.raises(ValueError, match="line 3"):
             AnnotationTable.from_csv(p)
 
-    def test_by_config_groups_in_metric_order(self):
-        table = AnnotationTable(
-            {("b", "top5"): 0.9, ("a", "top5"): 0.8, ("b", "top1"): 0.6, ("a", "top1"): 0.7}
-        )
-        grouped = table.by_config()
-        assert list(grouped) == ["a", "b"]
-        assert list(grouped["b"].items()) == [("top1", 0.6), ("top5", 0.9)]
-        assert grouped["a"] == table.for_config("a")
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.dictionaries(
+            st.tuples(
+                st.sampled_from(["a", "b", "vit_small;N=9", "vit_small;N=09"]),
+                st.sampled_from(["top1", "top5", "Top1", "miou"]),
+            ),
+            st.floats(-1e3, 1e3),
+        ),
+        cid=st.sampled_from(["a", "b", "vit_small;N=9", "absent", ""]),
+    )
+    @example(values={}, cid="a")
+    @example(
+        values={("b", "top5"): 0.9, ("a", "top5"): 0.8, ("b", "top1"): 0.6, ("a", "top1"): 0.7},
+        cid="b",
+    )
+    def test_for_config_equals_filter_and_sort(self, values, cid):
+        table = AnnotationTable(values)
+        want = sorted((m, v) for (c, m), v in table.values.items() if c == cid)
+        got = table.for_config(cid)
+        assert list(got.items()) == want
+        got["extra"] = 1.0  # a copy: the table's own stays as it was
+        assert list(table.for_config(cid).items()) == want
 
     def test_empty_file_yields_empty_table(self, tmp_path):
         # The CLI warns of an empty table: test_empty_annotations_warn_once.
@@ -293,10 +313,9 @@ class TestFrontierPoints:
     def test_reports_and_annotations_attached(self):
         space = vit_space([SweepAxis(K.RESOLUTION, (9, 14))])
         table = AnnotationTable({("vit_small;N=9", "top1"): 0.71})
-        annotations = table.by_config()
         points = [
-            point_from_report(config.config_id, report, annotations.get(config.config_id))
-            for config, report in evaluate_space(space, [])
+            point_from_report(config.config_id, report, table.for_config(config.config_id))
+            for config, report in enumerate_space(space, [])
         ]
         assert len(points) == 2
         assert points[0].flops == 2_702_239_704
@@ -590,6 +609,27 @@ class TestBudgetMatcher:
             vit_small(), EvalConfig(), K.HIDDEN, 3_000_000_000, value_range=(6, 1536)
         )
         assert res.config.transforms[0].parameter % 6 == 0
+
+    def test_range_past_the_largest_float_refused_before_any_probe(self, monkeypatch):
+        top = int(sys.float_info.max)  # exactly the largest float
+        cfg = EvalConfig()
+
+        def flops(n):
+            return cost_report(vit_small(), cfg._replace(input_resolution=n)).flops
+
+        # the range may end at the largest float, where relaxed_value still fits
+        res = match_flops_budget(
+            vit_small(), cfg, K.RESOLUTION, flops(top - 32), value_range=(top - 64, top)
+        )
+        assert res.deviation == 0 and res.relaxed_value == sys.float_info.max
+
+        def no_probe(*args):
+            raise AssertionError("probed a range past the largest float")
+
+        monkeypatch.setattr(visioncost.search, "cost_report", no_probe)
+        for lo, hi in [(top - 63, top + 1), (10**400, 10**400 + 64)]:
+            with pytest.raises(ValueError, match="past the largest float"):
+                match_flops_budget(vit_small(), cfg, K.RESOLUTION, 10**9, value_range=(lo, hi))
 
 
 class TestBestCompressed:
