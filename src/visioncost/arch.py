@@ -205,16 +205,27 @@ class Violation(NamedTuple):
         return f"layer {self.layer_index}: {self.message}"
 
 
-def _check_positive(
-    out: list[Violation], index: int | None, value: int, what: str
-) -> None:
-    if value < 1:
-        out.append(Violation(index, f"{what} must be >= 1, got {value}"))
+# Each record's field bounds, in the order they are reported: sizes and
+# counts are at least 1, padding at least 0.
+_LEAST: dict[type, tuple[tuple[str, int], ...]] = {
+    CnnSpec: (("input_channels", 1),),
+    Conv2d: (
+        ("in_ch", 1), ("out_ch", 1), ("kernel", 1), ("stride", 1), ("dilation", 1),
+        ("groups", 1), ("padding", 0),
+    ),
+    Pool: (("kernel", 1), ("stride", 1), ("padding", 0)),
+    BatchNorm: (("ch", 1),),
+    Resize: (("target_hw", 1),),
+    Linear: (("in_features", 1), ("out_features", 1)),
+    ViTSpec: tuple((field, 1) for field in ViTSpec._fields if field != "name"),
+}
 
 
-def _check_padding(out: list[Violation], index: int, value: int) -> None:
-    if value < 0:
-        out.append(Violation(index, f"padding must be >= 0, got {value}"))
+def _check_bounds(out: list[Violation], index: int | None, record: Any) -> None:
+    for field, least in _LEAST.get(type(record), ()):
+        value = getattr(record, field)
+        if value < least:
+            out.append(Violation(index, f"{field} must be >= {least}, got {value}"))
 
 
 def validate_cnn(spec: CnnSpec) -> list[Violation]:
@@ -225,15 +236,15 @@ def validate_cnn(spec: CnnSpec) -> list[Violation]:
     agree or a flattened map fits a classifier depends on the resolution;
     the walk reports those when it is costed."""
     out: list[Violation] = []
-    _check_positive(out, None, spec.input_channels, "input_channels")
+    _check_bounds(out, None, spec)
     channels: list[int] = []  # output channels per layer
     cur = spec.input_channels
     collapsed = False  # spatial dims 1x1 at any resolution (after GlobalPool)
     for i, layer in enumerate(spec.layers):
+        if isinstance(layer, Pool) and layer.kind not in ("max", "avg"):
+            out.append(Violation(i, f"pool kind must be 'max' or 'avg', got {layer.kind!r}"))
+        _check_bounds(out, i, layer)
         if isinstance(layer, Conv2d):
-            for field in ("in_ch", "out_ch", "kernel", "stride", "dilation", "groups"):
-                _check_positive(out, i, getattr(layer, field), field)
-            _check_padding(out, i, layer.padding)
             if layer.groups >= 1:
                 for field in ("in_ch", "out_ch"):
                     if getattr(layer, field) % layer.groups != 0:
@@ -252,17 +263,11 @@ def validate_cnn(spec: CnnSpec) -> list[Violation]:
                 out.append(Violation(i, f"in_ch {layer.in_ch} does not match input channels {src}"))
             cur = layer.out_ch
             collapsed = False
-        elif isinstance(layer, Pool):
-            if layer.kind not in ("max", "avg"):
-                out.append(Violation(i, f"pool kind must be 'max' or 'avg', got {layer.kind!r}"))
-            _check_positive(out, i, layer.kernel, "kernel")
-            _check_positive(out, i, layer.stride, "stride")
-            _check_padding(out, i, layer.padding)
-            collapsed = False  # padding can widen a 1x1 map
+        elif isinstance(layer, (Pool, Resize)):
+            collapsed = False  # a padded window or a resize can widen a 1x1 map
         elif isinstance(layer, GlobalPool):
             collapsed = True
         elif isinstance(layer, BatchNorm):
-            _check_positive(out, i, layer.ch, "ch")
             if layer.ch != cur:
                 out.append(Violation(i, f"ch {layer.ch} does not match input channels {cur}"))
         elif isinstance(layer, ResidualAdd):
@@ -274,12 +279,7 @@ def validate_cnn(spec: CnnSpec) -> list[Violation]:
                     i, f"residual source layer {source} has {channels[source]} channels, "
                     f"current stream has {cur}"
                 ))
-        elif isinstance(layer, Resize):
-            _check_positive(out, i, layer.target_hw, "target_hw")
-            collapsed = False
         elif isinstance(layer, Linear):
-            _check_positive(out, i, layer.in_features, "in_features")
-            _check_positive(out, i, layer.out_features, "out_features")
             if collapsed and layer.in_features != cur:
                 out.append(Violation(
                     i, f"in_features {layer.in_features} does not match input channels {cur}"
@@ -291,14 +291,7 @@ def validate_cnn(spec: CnnSpec) -> list[Violation]:
 
 def validate_vit(spec: ViTSpec) -> list[Violation]:
     out: list[Violation] = []
-    _check_positive(out, None, spec.patch_size, "patch_size")
-    _check_positive(out, None, spec.hidden_dim, "hidden_dim")
-    _check_positive(out, None, spec.num_heads, "num_heads")
-    _check_positive(out, None, spec.mlp_dim, "mlp_dim")
-    _check_positive(out, None, spec.depth, "depth")
-    _check_positive(out, None, spec.tokens_per_side, "tokens_per_side")
-    _check_positive(out, None, spec.input_channels, "input_channels")
-    _check_positive(out, None, spec.num_classes, "num_classes")
+    _check_bounds(out, None, spec)
     if spec.num_heads >= 1 and spec.hidden_dim % spec.num_heads != 0:
         out.append(
             Violation(

@@ -22,7 +22,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import groupby, product, repeat
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .arch import ArchSpec, EvalConfig, ViTSpec
 from .cost import (
@@ -443,12 +443,6 @@ MATCH_RANGES: dict[TransformKind, tuple[int, int]] = {
 MAX_BISECTION_ITERATIONS = 64
 
 
-def _knob_step(spec: ArchSpec, knob: TransformKind) -> int:
-    if knob is TransformKind.HIDDEN and isinstance(spec, ViTSpec):
-        return spec.num_heads  # keep the head count dividing the hidden size
-    return 1
-
-
 def match_flops_budget(
     base_spec: ArchSpec,
     base_eval: EvalConfig,
@@ -461,10 +455,10 @@ def match_flops_budget(
     """Find the discrete knob value whose FLOPs are closest to the target.
 
     The knob must be one FLOPs-monotone transform kind (depth, hidden, mlp,
-    resolution). Each bisection over the discrete range takes at most 64
-    steps: one lifts a CNN resolution range to its first feasible value,
-    the others find the target. Ties between equally-close values resolve
-    to the smaller knob value.
+    resolution). One bisection over the discrete range, of at most 64
+    steps, lifts a CNN resolution range to its first feasible value, finds
+    the target and walks a FLOPs plateau back. Ties between equally-close
+    values resolve to the smaller knob value.
     ``tol`` is relative, read as the shortest decimal that round-trips it
     (0.3 is 3/10); when given and missed, the bracketing pair around the
     target is attached. ``relaxed_value`` is the interpolated continuous
@@ -476,7 +470,9 @@ def match_flops_budget(
     if target_flops < 1:
         raise ValueError(f"target FLOPs must be >= 1, got {target_flops}")
     lo, hi = value_range if value_range is not None else MATCH_RANGES[knob]
-    step = _knob_step(base_spec, knob)
+    # A ViT's hidden size stays a multiple of its head count.
+    hidden = knob is TransformKind.HIDDEN and isinstance(base_spec, ViTSpec)
+    step = base_spec.num_heads if hidden else 1
     lo = max(lo, step)
     lo = ((lo + step - 1) // step) * step
     hi = (hi // step) * step
@@ -493,84 +489,62 @@ def match_flops_budget(
     if hi > sys.float_info.max:
         raise ValueError(f"knob range ends past the largest float, {sys.float_info.max!r}")
 
-    def build(value: int) -> ScaledConfig:
-        return make_config(
-            base_name, base_spec, base_eval, (ScalingTransform(knob, value),)
-        )
-
     cache: dict[int, tuple[ScaledConfig, int]] = {}
 
-    def flops_at(value: int) -> tuple[ScaledConfig, int]:
+    def flops_at(value: int) -> int:
+        """The value's FLOPs, or -1 (not cached) where a window does not fit."""
         if value not in cache:
-            config = build(value)
-            cache[value] = (config, cost_report(config.spec, config.eval).flops)
-        return cache[value]
+            config = make_config(
+                base_name, base_spec, base_eval, (ScalingTransform(knob, value),)
+            )
+            try:
+                cache[value] = (config, cost_report(config.spec, config.eval).flops)
+            except InfeasibleResolution:
+                return -1
+        return cache[value][1]
 
-    def first_meeting(meets: Callable[[int], bool], lo_v: int, hi_v: int) -> int:
-        """Smallest value in [lo_v, hi_v] that ``meets``, which ``hi_v``
-        does; every value above one that meets it must meet it too."""
-        if meets(lo_v):
+    def first_reaching(flops: int, lo_v: int, hi_v: int) -> int:
+        """Smallest value in [lo_v, hi_v] whose ``flops_at`` reaches
+        ``flops``, which that of ``hi_v`` does; it rises with the value."""
+        if flops_at(lo_v) >= flops:
             return lo_v
         for _ in range(MAX_BISECTION_ITERATIONS):
             if hi_v - lo_v <= step:
                 break
             mid = lo_v + ((hi_v - lo_v) // (2 * step)) * step
-            if meets(mid):
+            if flops_at(mid) >= flops:
                 hi_v = mid
             else:
                 lo_v = mid
         return hi_v
 
-    def feasible(value: int) -> bool:
-        try:
-            flops_at(value)
-        except InfeasibleResolution:
-            return False
-        return True
-
     # For CNN resolution knobs, small values can be infeasible. No window's
     # output shrinks as its input grows, so the feasible values run up to
     # hi: lift the lower bound to the first of them.
-    if not feasible(hi):
+    if flops_at(hi) < 0:
         raise ValueError(f"no feasible knob value in [{lo}, {hi}]")
-    lo = first_meeting(feasible, lo, hi)
-
-    _, f_lo = flops_at(lo)
-    _, f_hi = flops_at(hi)
+    lo = first_reaching(0, lo, hi)
+    f_lo, f_hi = flops_at(lo), flops_at(hi)
     if target_flops < f_lo or target_flops > f_hi:
         raise TargetUnreachable(target_flops, (f_lo, f_hi))
 
-    def first_reaching(flops: int, hi_v: int) -> int:
-        """Smallest value in [lo, hi_v] whose FLOPs reach ``flops``, which
-        those of ``hi_v`` do (FLOPs are monotone increasing)."""
-        return first_meeting(lambda v: flops_at(v)[1] >= flops, lo, hi_v)
-
-    upper = first_reaching(target_flops, hi)
+    upper = first_reaching(target_flops, lo, hi)
     lower = max(lo, upper - step)
-
-    candidates = sorted({lower, upper})
-    best_value = min(
-        candidates, key=lambda v: (abs(flops_at(v)[1] - target_flops), v)
-    )
-    best_config, best_flops = flops_at(best_value)
+    (config_lower, f_lower), (config_upper, f_upper) = cache[lower], cache[upper]
+    # f_lower < target <= f_upper, or lower is upper: the closer one wins,
+    # and a tie goes to lower.
+    best = lower if target_flops - f_lower <= f_upper - target_flops else upper
     # CNN FLOPs can stay flat over neighbouring resolutions, so a value below
     # the target may share its FLOPs with smaller ones; ties go to the
     # smallest. ViT FLOPs rise strictly, so one probe settles it there.
-    if (
-        best_flops < target_flops
-        and best_value > lo
-        and flops_at(best_value - step)[1] == best_flops
-    ):
-        best_value = first_reaching(best_flops, best_value - step)
-        best_config = flops_at(best_value)[0]
+    if lo < best < upper and flops_at(best - step) == f_lower:
+        best = first_reaching(f_lower, lo, best - step)
+    best_config, best_flops = cache[best]
     deviation = abs(best_flops - target_flops)
-
-    config_lower, f_lower = flops_at(lower)
-    config_upper, f_upper = flops_at(upper)
     if f_upper != f_lower:
         relaxed = lower + (target_flops - f_lower) * (upper - lower) / (f_upper - f_lower)
     else:
-        relaxed = float(best_value)
+        relaxed = float(best)
 
     within_tol: bool | None = None
     bracket: tuple[ScaledConfig, ScaledConfig] | None = None

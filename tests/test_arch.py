@@ -144,6 +144,36 @@ class TestCnnValidation:
             (1, "ch 16 does not match input channels 8"),
             (2, "padding must be >= 0, got -1"),
         ]
+        # every bound of every kind: a conv's in field order with padding
+        # last, then its back-reference and channels; a pool's kind first
+        spec = CnnSpec("bad", 3, (
+            Conv2d(0, 0, kernel=0, stride=0, padding=-1, groups=0, dilation=0, input_layer_index=5),
+            Pool("min", kernel=0),
+            Conv2d(0, 6, kernel=1, groups=4),
+            Linear(0, -1),
+            BatchNorm(0),
+            Resize(0),
+        ))
+        assert [tuple(v) for v in validate_cnn(spec)] == [
+            (0, "in_ch must be >= 1, got 0"),
+            (0, "out_ch must be >= 1, got 0"),
+            (0, "kernel must be >= 1, got 0"),
+            (0, "stride must be >= 1, got 0"),
+            (0, "dilation must be >= 1, got 0"),
+            (0, "groups must be >= 1, got 0"),
+            (0, "padding must be >= 0, got -1"),
+            (0, "input_layer_index 5 must point at an earlier layer"),
+            (0, "in_ch 0 does not match input channels 3"),
+            (1, "pool kind must be 'max' or 'avg', got 'min'"),
+            (1, "kernel must be >= 1, got 0"),
+            (2, "in_ch must be >= 1, got 0"),
+            (2, "out_ch 6 not divisible by groups 4"),
+            (3, "in_features must be >= 1, got 0"),
+            (3, "out_features must be >= 1, got -1"),
+            (4, "ch must be >= 1, got 0"),
+            (4, "ch 0 does not match input channels -1"),
+            (5, "target_hw must be >= 1, got 0"),
+        ]
 
     @pytest.mark.parametrize(
         "widen, side", [(Resize(2), 2), (Pool("max", kernel=1, padding=1), 3)]
@@ -210,6 +240,14 @@ class TestViTValidation:
             mlp_dim=1536, depth=0, tokens_per_side=14,
         )
         assert validate_vit(spec)
+        # every size at 0: one violation each, in field order
+        spec = ViTSpec("v", 0, 0, 0, 0, 0, 0, 0, 0)
+        assert [tuple(v) for v in validate_vit(spec)] == [
+            (None, f"{field} must be >= 1, got 0") for field in (
+                "patch_size", "hidden_dim", "num_heads", "mlp_dim", "depth",
+                "tokens_per_side", "input_channels", "num_classes",
+            )
+        ]
 
 
 def assert_same_spec(got, want):

@@ -1,11 +1,13 @@
-"""Mutated specs and space files through ``cost``, ``match`` and ``sweep``.
+"""Mutated specs and space files through ``cost``, ``match`` and ``sweep``,
+then edge values of every numeric flag.
 
-The property runs in a child process that caps its own address space with
+Both run in a child process that caps its own address space with
 ``RLIMIT_AS``, so a mutation that would build a vast report ends in the
 child's ``MemoryError``, not in the host's memory. Every exit is 0, 1, 2, 3
-or 64, and a failing command prints exactly one line on stderr: a JSON
-error for 1-3, a usage line for 64. Log records go to their own buffer, so
-a sweep's skip warnings are not counted as that line.
+or 64 (not 1, an I/O error, for a flag value), and a failing command
+prints exactly one line on stderr: a JSON error for 1-3, a usage line for
+64. Log records go to their own buffer, so a sweep's skip warnings are not
+counted as that line.
 """
 
 import contextlib
@@ -108,11 +110,25 @@ def mutate(data, doc):
     return doc
 
 
-def run_cli(argv):
+def run_cli(argv, codes=(0, 1, 2, 3, 64)):
+    """Run one command, check its exit code and its output lines, and
+    return the code and stdout."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return code, out.getvalue(), err.getvalue()
+    out, err = out.getvalue(), err.getvalue()
+    assert code in codes, (argv, code, err)
+    if code == 0:
+        assert out and not err, (argv, err)
+        return code, out
+    assert out == "", argv
+    lines = err.splitlines()
+    assert len(lines) == 1, (argv, code, err)
+    if code == 64:
+        assert lines[0].startswith("usage error: "), (argv, err)
+    else:
+        assert "error" in json.loads(lines[0]), (argv, err)
+    return code, out
 
 
 @settings(max_examples=EXAMPLES, deadline=None, database=None)
@@ -138,18 +154,50 @@ def fuzz_commands(command, base, space, knob, target, convention, data):
             if command == "match":
                 knob = knob if base == "vit_small" else "resolution"
                 argv += ["--knob", knob, "--target-flops", str(target)]
-        code, out, err = run_cli(argv)
-    assert code in (0, 1, 2, 3, 64), (argv, code, err)
-    if code == 0:
-        assert out and not err, (argv, err)
-        return
-    assert out == "", argv
-    lines = err.splitlines()
-    assert len(lines) == 1, (argv, code, err)
-    if code == 64:
-        assert lines[0].startswith("usage error: "), (argv, err)
-    else:
-        assert "error" in json.loads(lines[0]), (argv, err)
+        run_cli(argv)
+
+
+# Zero, negative, past the float range, at and one past the interpreter's
+# 4300-digit limit, the two non-finite floats, and a non-ASCII digit (an
+# Arabic-Indic 3, which int() and float() read as 3).
+FLAG_VALUES = ["0", "-1", str(10**400), "9" * 4300, "9" * 4301, "nan", "inf", "\u0663"]
+FLAG_EXITS = (0, 2, 3, 64)  # every file is readable, so no exit 1
+FRONTIER = (
+    "config_id,flops,peak_activation_bytes,model_bytes,total_memory_bytes,top1\n"
+    "a,100,10,10,20,0.8\nb,50,5,5,10,0.7\n"
+)
+
+
+def fuzz_flags():
+    """Every numeric flag of ``cost``, ``match`` and ``best`` at every edge
+    value, on a ViT (every knob) and a CNN spec; the range flags go in pairs,
+    with the edge value at either end or at both. A resolution that costs is
+    matched back from its own FLOPs, so the range holds the target."""
+    with tempfile.TemporaryDirectory(dir=os.environ.get("FUZZ_TMP")) as tmp:
+        tmp = Path(tmp)
+        (tmp / "frontier.csv").write_text(FRONTIER)
+        for name, knobs in [("vit_small", ["depth", "hidden", "mlp", "resolution"]),
+                            ("small_res", ["resolution"])]:
+            spec = tmp / f"{name}.json"
+            spec.write_text(json.dumps(SPECS[name]))
+            for value in FLAG_VALUES:
+                run_cli(["cost", str(spec), "--batch", value], codes=FLAG_EXITS)
+                code, out = run_cli(["cost", str(spec), "--resolution", value], codes=FLAG_EXITS)
+                if code == 0:  # match those FLOPs back over that one resolution
+                    run_cli(["match", str(spec), "--knob", "resolution", "--target-flops",
+                             str(json.loads(out)["flops"]), "--min-value", value,
+                             "--max-value", value], codes=(0, 2))
+                for knob in knobs:
+                    match = ["match", str(spec), "--knob", knob, "--target-flops", "1000000000"]
+                    for flags in (["--resolution", value], ["--batch", value],
+                                  ["--target-flops", value], ["--tol", value],
+                                  ["--min-value", value, "--max-value", "64"],
+                                  ["--min-value", "1", "--max-value", value],
+                                  ["--min-value", value, "--max-value", value]):
+                        run_cli(match + flags, codes=FLAG_EXITS)
+        for value in FLAG_VALUES:
+            argv = ["best", str(tmp), "--metric", "top1", "--baseline", "a", "--max-drop", value]
+            run_cli(argv, codes=FLAG_EXITS)
 
 
 def test_mutated_inputs_in_a_capped_child(tmp_path):
@@ -171,3 +219,4 @@ if __name__ == "__main__":
     # Log records (a sweep's skip warnings) go to their own buffer, not stderr.
     logging.getLogger().addHandler(logging.StreamHandler(io.StringIO()))
     fuzz_commands()
+    fuzz_flags()

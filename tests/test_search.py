@@ -4,6 +4,7 @@ Matching and selection are checked against exhaustive scans written
 independently of the bisection/filter code under test.
 """
 
+import contextlib
 import csv
 import io
 import itertools
@@ -18,7 +19,9 @@ from hypothesis import strategies as st
 
 import visioncost.scaling
 from visioncost import search
-from visioncost.arch import CnnSpec, Conv2d, EvalConfig, GlobalPool, Linear
+from visioncost.arch import (
+    CnnSpec, Conv2d, EvalConfig, FlopConvention, GlobalPool, Linear, Pool,
+)
 from visioncost.cost import InfeasibleResolution, ShapeMismatch, cost_report
 from visioncost.presets import grouped_seg_backbone, resnet50, vit_small
 from visioncost.scaling import ScalingError, ScalingTransform, TransformKind, make_config
@@ -603,6 +606,124 @@ class TestBudgetMatcher:
         assert exc.value.attainable[0] == first
         with pytest.raises(ValueError, match=r"no feasible knob value in \[1, 99999\]"):
             match_flops_budget(spec, EvalConfig(), K.RESOLUTION, first, value_range=(1, 99_999))
+
+    @staticmethod
+    def random_stack(rng):
+        """1-4 conv/pool layers whose windows and strides make low resolutions
+        infeasible and keep FLOPs flat over neighbouring resolutions."""
+        layers, ch = [], 3
+        for _ in range(rng.randint(1, 4)):
+            if rng.random() < 0.6:
+                out = rng.choice([2, 4])
+                layers.append(Conv2d(
+                    ch, out, kernel=rng.randint(3, 9), stride=rng.randint(2, 4),
+                    padding=rng.randint(0, 1), dilation=rng.randint(1, 2),
+                ))
+                ch = out
+            else:
+                layers.append(Pool(
+                    rng.choice(["max", "avg"]), kernel=rng.randint(2, 6), stride=rng.randint(2, 4)
+                ))
+        return CnnSpec("stack", 3, (*layers, GlobalPool(), Linear(ch, 10)))
+
+    def test_random_cnn_stacks_match_an_exhaustive_scan(self):
+        # Ranges that start among infeasible resolutions, targets at the
+        # attainable FLOPs +-1 and midway between them: the scan takes the
+        # closest feasible value, ties to the smaller, and brackets the
+        # target with the first value reaching it and the one below.
+        rng = random.Random(27)
+        lifted = walked_back = tied = 0
+        for _ in range(40):
+            spec = self.random_stack(rng)
+            lo = rng.randint(1, 8)
+            hi = lo + rng.randint(0, 150)
+            flops = {}
+            for v in range(lo, hi + 1):
+                try:
+                    flops[v] = cost_report(spec, EvalConfig(input_resolution=v)).flops
+                except InfeasibleResolution:
+                    pass
+            if not flops:
+                with pytest.raises(ValueError, match=r"no feasible knob value"):
+                    match_flops_budget(spec, EvalConfig(), K.RESOLUTION, 1, value_range=(lo, hi))
+                continue
+            first = min(flops)
+            assert sorted(flops) == list(range(first, hi + 1))  # feasible run up to hi
+            targets = {f + d for f in flops.values() for d in (-1, 0, 1)}
+            steps = sorted(set(flops.values()))  # and midway, where the tie goes down
+            targets = sorted(targets | {(a + b) // 2 for a, b in zip(steps, steps[1:])})
+            for target in rng.sample(targets, min(len(targets), 12)):
+                tol = rng.choice([None, 0.001, 0.05])
+                if not flops[first] <= target <= flops[hi]:
+                    with pytest.raises(TargetUnreachable) as exc:
+                        match_flops_budget(
+                            spec, EvalConfig(), K.RESOLUTION, target, tol, (lo, hi)
+                        )
+                    assert exc.value.attainable == (flops[first], flops[hi])
+                    continue
+                best = min(flops, key=lambda v: (abs(flops[v] - target), v))
+                upper = min(v for v in flops if flops[v] >= target)
+                lower = max(first, upper - 1)
+                f_lower, f_upper = flops[lower], flops[upper]
+                if f_upper != f_lower:
+                    relaxed = lower + (target - f_lower) * (upper - lower) / (f_upper - f_lower)
+                else:
+                    relaxed = float(best)
+                deviation = abs(flops[best] - target)
+                within = None if tol is None else deviation <= Fraction(str(tol)) * target
+                bracket = (f"base;N={lower}", f"base;N={upper}") if within is False else None
+                res = match_flops_budget(spec, EvalConfig(), K.RESOLUTION, target, tol, (lo, hi))
+                got_bracket = res.bracket and tuple(c.config_id for c in res.bracket)
+                assert (
+                    res.config.config_id, res.flops, res.deviation, res.relaxed_value,
+                    res.within_tol, got_bracket,
+                ) == (f"base;N={best}", flops[best], deviation, relaxed, within, bracket)
+                lifted += first > lo
+                walked_back += best < lower
+                tied += target - f_lower == f_upper - target and lower < upper
+        assert lifted and walked_back and tied  # the lift, the plateau walk and a tie ran
+
+    def test_probe_economy(self, monkeypatch):
+        # No knob value is costed twice in one match, and a ViT match costs
+        # at most ceil(log2((hi - lo) / step)) + 4 values: the top, the
+        # bottom, the bisection and the plateau probe.
+        knob_value = {
+            K.DEPTH: lambda spec, cfg: spec.depth,
+            K.HIDDEN: lambda spec, cfg: spec.hidden_dim,
+            K.MLP: lambda spec, cfg: spec.mlp_dim,
+            K.RESOLUTION: lambda spec, cfg: cfg.input_resolution,
+        }
+        costed = []
+
+        def counting(spec, cfg=None):
+            costed.append(knob_value[knob](spec, cfg))
+            return cost_report(spec, cfg)
+
+        monkeypatch.setattr(visioncost.search, "cost_report", counting)
+        rng = random.Random(5)
+        for _ in range(120):
+            knob = rng.choice(sorted(knob_value, key=lambda k: k.value))
+            cfg = EvalConfig(flop_convention=rng.choice(list(FlopConvention)))
+            step = 6 if knob is K.HIDDEN else 1  # vit_small's head count
+            top = {K.DEPTH: 64, K.HIDDEN: 3072, K.MLP: 8192, K.RESOLUTION: 128}[knob] // step
+            lo, hi = sorted(step * rng.randint(1, top) for _ in range(2))
+
+            def at(v):
+                config = make_config("base", vit_small(), cfg, [ScalingTransform(knob, v)])
+                return cost_report(config.spec, config.eval).flops
+
+            target = rng.randint(at(lo), at(hi))
+            costed.clear()
+            match_flops_budget(vit_small(), cfg, knob, target, value_range=(lo, hi))
+            assert len(costed) == len(set(costed)), (knob, lo, hi, target, costed)
+            assert len(costed) <= (max((hi - lo) // step, 1) - 1).bit_length() + 4
+        knob = K.RESOLUTION
+        for _ in range(20):
+            spec = self.random_stack(rng)
+            costed.clear()
+            with contextlib.suppress(ValueError):  # no feasible value, or unreachable
+                match_flops_budget(spec, EvalConfig(), knob, rng.randint(1, 10**6), None, (1, 200))
+            assert len(costed) == len(set(costed)), costed
 
     def test_hidden_values_stay_on_head_multiples(self):
         res = match_flops_budget(
