@@ -311,8 +311,8 @@ def validate_spec(spec: ArchSpec) -> list[Violation]:
 # --------------------------------------------------------------------------
 # JSON form. Keys are emitted in field definition order so serialization
 # is deterministic. On the way in, one schema read from the records' own
-# annotations rejects unknown keys, names missing ones and checks the type
-# of every value.
+# annotations, for spec and space files alike, rejects unknown keys, names
+# missing ones and checks the type of every value.
 
 _LAYER_TAGS: dict[type, str] = {
     Conv2d: "conv2d",
@@ -347,46 +347,88 @@ def _checked_bool(value: Any, field: str) -> bool:
     return value
 
 
-# The check of each field type a spec file holds: (value, field) -> value.
+def _checked_array(value: Any, field: str) -> tuple:
+    if not isinstance(value, list) or not value:
+        raise ValueError(f"{field} must be a non-empty array")
+    return tuple(value)
+
+
+def _checked_object(value: Any, field: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{field} must be an object")
+    return value
+
+
+def _member_check(kind: type[Enum]) -> Callable[[Any, str], Enum]:
+    """The check of a str Enum field: one of its values, stored as its member."""
+    members = {member.value: member for member in kind}
+
+    def check(value: Any, field: str) -> Enum:
+        if checked_str(value, field) not in members:
+            raise ValueError(f"{field} must be one of {list(members)}, got {json.dumps(value)}")
+        return members[value]
+
+    return check
+
+
+# The check of each field type a spec or space file holds: (value, field)
+# -> the value to store; a str Enum is checked by _field_checks.
 _CHECKS: dict[Any, Callable[[Any, str], Any]] = {
     int: checked_int,
     int | None: lambda value, field: value if value is None else checked_int(value, field),
     bool: _checked_bool,
     str: checked_str,
+    tuple: _checked_array,
+    dict: _checked_object,
+    DTypeDesc: lambda value, field: dtype_from_name(checked_str(value, field)),
 }
 
 
 def _field_checks(cls: type) -> dict[str, Callable[[Any, str], Any]]:
-    """Field name -> check, for each field of spec record ``cls`` in
-    definition order. A field whose type has no check fails the import, so
-    none goes unchecked; a CnnSpec's layers are walked by spec_from_dict."""
+    """Field name -> check, for each field of record ``cls`` in definition
+    order. A field whose type has no check fails at once, so none goes
+    unchecked; a CnnSpec's layers are walked by spec_from_dict."""
     checks = {}
     for name, kind in get_type_hints(cls).items():
         if cls is CnnSpec and name == "layers":
             continue
-        if kind not in _CHECKS:
+        if isinstance(kind, type) and issubclass(kind, Enum):
+            checks[name] = _member_check(kind)
+        elif kind in _CHECKS:
+            checks[name] = _CHECKS[kind]
+        else:
             raise TypeError(f"{cls.__name__}.{name}: no load check for {kind}")
-        checks[name] = _CHECKS[kind]
     return checks
 
 
-_FIELD_CHECKS = {cls: _field_checks(cls) for cls in (*_LAYER_TAGS, ViTSpec, CnnSpec)}
+_FIELD_CHECKS = {cls: _field_checks(cls) for cls in (*_LAYER_TAGS, ViTSpec, CnnSpec, EvalConfig)}
 
 
-def _record_from_dict(cls: type, values: dict[str, Any], where: str, noun: str) -> Any:
-    """``cls(**values)`` once every key names a field of ``cls``, every
-    field without a default has a key and every value has its field's type.
-    A fault raises ValueError, its message prefixed by ``where``."""
-    unknown = values.keys() - cls._fields
+def _record_from_dict(cls: type, values: Any, where: str, noun: str) -> Any:
+    """``cls(**values)`` once ``values`` is an object, every key names a
+    field of ``cls``, every field without a default has a key and every
+    value has its field's type. Each checked value is stored back into
+    ``values``: a dtype name as its DTypeDesc, say. A fault, or a ValueError
+    from ``cls`` itself, raises ValueError, its message prefixed by ``where``."""
+    try:
+        unknown = values.keys() - cls._fields
+    except AttributeError:
+        raise ValueError(f"{where}{noun} must be an object") from None
     if unknown:
         raise ValueError(f"{where}unknown key(s) {sorted(unknown)} for {noun}")
+    if cls not in _FIELD_CHECKS:  # a record defined outside this module
+        _FIELD_CHECKS[cls] = _field_checks(cls)
     for name, check in _FIELD_CHECKS[cls].items():
         if name in values:
-            check(values[name], where + name)
-    for name in cls._fields:
-        if name not in values and name not in cls._field_defaults:
-            raise ValueError(f"{where}{noun} is missing key {name!r}")
-    return cls(**values)
+            values[name] = check(values[name], where + name)
+    if len(values) < len(cls._fields):  # every key is a field: else none is missing
+        for name in cls._fields:
+            if name not in values and name not in cls._field_defaults:
+                raise ValueError(f"{where}{noun} is missing key {name!r}")
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ValueError(f"{where}{exc}") from None
 
 
 def _layer_to_dict(layer: CnnLayer) -> dict[str, Any]:

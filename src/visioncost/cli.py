@@ -33,7 +33,7 @@ import shutil
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 from . import __version__
 from .arch import (
@@ -41,8 +41,7 @@ from .arch import (
     DTYPES,
     EvalConfig,
     FlopConvention,
-    checked_int,
-    checked_str,
+    _record_from_dict,
     dtype_from_name,
     load_spec,
     validate_spec,
@@ -56,8 +55,9 @@ from .cost import (
     report_to_json,
 )
 from .presets import PRESETS
-from .scaling import KIND_BY_KEY, ScalingTransform, TransformKind, transform_token
+from .scaling import ScalingTransform, TransformKind, transform_token
 from .search import (
+    ENUMERATION_CAP,
     FRONTIER_COLUMNS,
     MATCH_RANGES,
     AnnotationTable,
@@ -197,32 +197,18 @@ def _cmd_cost(args: argparse.Namespace) -> int:
 # sweep
 
 
-def _parse_eval_dict(d: dict[str, Any], where: str) -> EvalConfig:
-    allowed = {"batch_size", "dtype", "input_resolution", "flop_convention"}
-    unknown = set(d) - allowed
-    if unknown:
-        raise ValueError(f"{where}: unknown key(s) {sorted(unknown)}")
-    kwargs: dict[str, Any] = {}
-    if "batch_size" in d:
-        kwargs["batch_size"] = checked_int(d["batch_size"], f"{where}: batch_size")
-    if "dtype" in d:
-        kwargs["dtype"] = dtype_from_name(checked_str(d["dtype"], f"{where}: dtype"))
-    if d.get("input_resolution") is not None:  # null: the spec default
-        kwargs["input_resolution"] = checked_int(
-            d["input_resolution"], f"{where}: input_resolution"
-        )
-    if "flop_convention" in d:
-        try:
-            kwargs["flop_convention"] = FlopConvention(d["flop_convention"])
-        except ValueError:
-            raise ValueError(
-                f"{where}: flop_convention must be one of "
-                f"{[c.value for c in FlopConvention]}"
-            ) from None
-    return EvalConfig(**kwargs)
+class _SpaceFile(NamedTuple):
+    """A space file's top level as loaded: each key it holds has its
+    field's type, and one it leaves out is None (``cap``: the default cap)."""
+
+    axes: tuple
+    base: str = None  # type: ignore[assignment]
+    spec_file: str = None  # type: ignore[assignment]
+    eval: dict = None  # type: ignore[assignment]
+    cap: int = ENUMERATION_CAP
 
 
-def _check_axis_values(i: int, kind: TransformKind, values: list) -> None:
+def _check_axis_values(i: int, kind: TransformKind, values: tuple) -> None:
     """Width values are numbers finite as floats, dtype values known dtype
     names and all other values ints; a bool is none of these."""
     for value in values:
@@ -238,30 +224,42 @@ def _check_axis_values(i: int, kind: TransformKind, values: list) -> None:
 
 def _load_space(path: str) -> tuple[SweepSpace, Path | None]:
     """The space in JSON file ``path``, and the path of the spec file it
-    names, if any. An OSError names the file it could not read: the space
-    file or the spec file; a ValueError about the spec file starts
+    names, if any. Every key, and each axis's values, is checked before
+    the base is read. An OSError names the file it could not read: the
+    space file or the spec file; a ValueError about the spec file starts
     ``spec <its path>:``."""
-    base_dir = Path(path).parent
     data = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(data, dict):
-        raise ValueError("space file must hold a JSON object")
-    allowed = {"base", "spec_file", "eval", "axes", "cap"}
-    unknown = set(data) - allowed
-    if unknown:
-        raise ValueError(f"space file: unknown key(s) {sorted(unknown)}")
-    if ("base" in data) == ("spec_file" in data):
+    space = _record_from_dict(_SpaceFile, data, "", "space file")
+    if (space.base is None) == (space.spec_file is None):
         raise ValueError("space file needs exactly one of 'base' or 'spec_file'")
+    if space.cap < 1:
+        raise ValueError(f"space file: cap must be >= 1, got {space.cap}")
+    if space.eval is not None:  # its keys override the base's, below
+        _record_from_dict(EvalConfig, space.eval, "eval: ", "eval")
+    axes = []
+    for i, raw in enumerate(space.axes):
+        axis = _record_from_dict(SweepAxis, raw, f"axis {i}: ", "axis")
+        _check_axis_values(i, axis.kind, axis.values)
+        # Two values with one config-id token would write one config twice.
+        tokens: set[str] = set()
+        for value in axis.values:
+            token = transform_token(ScalingTransform(axis.kind, value))
+            if token in tokens:
+                raise ValueError(
+                    f"axis {i}: {axis.kind.value} value {value!r} "
+                    f"repeats an earlier value ({token})"
+                )
+            tokens.add(token)
+        axes.append(axis)
     spec_path = None
-    if "base" in data:
-        name = checked_str(data["base"], "space file: base")
-        if name not in PRESETS:
+    if space.base is not None:
+        if space.base not in PRESETS:
             known = ", ".join(sorted(PRESETS))
-            raise ValueError(f"unknown preset {name!r} (known: {known})")
-        base_spec = PRESETS[name].build()
-        base_name = name
-        base_eval = PRESETS[name].default_eval
+            raise ValueError(f"unknown preset {space.base!r} (known: {known})")
+        preset = PRESETS[space.base]
+        base_name, base_spec, base_eval = space.base, preset.build(), preset.default_eval
     else:
-        spec_path = base_dir / checked_str(data["spec_file"], "space file: spec_file")
+        spec_path = Path(path).parent / space.spec_file
         try:
             base_spec = load_spec(spec_path)
         # A JSONDecodeError too: its position is the spec's, not the space's.
@@ -273,53 +271,9 @@ def _load_space(path: str) -> tuple[SweepSpace, Path | None]:
                 f"spec {spec_path} has violations: "
                 + "; ".join(str(v) for v in violations)
             )
-        base_name = base_spec.name
-        base_eval = EvalConfig()
-    if "eval" in data:
-        if not isinstance(data["eval"], dict):
-            raise ValueError("space 'eval' must be an object")
-        base_eval = _parse_eval_dict(data["eval"], "space eval")
-    axes_raw = data.get("axes")
-    if not isinstance(axes_raw, list) or not axes_raw:
-        raise ValueError("space file needs a non-empty 'axes' array")
-    axes: list[SweepAxis] = []
-    for i, axis in enumerate(axes_raw):
-        if not isinstance(axis, dict) or set(axis) != {"kind", "values"}:
-            raise ValueError(f"axis {i} must be an object with 'kind' and 'values'")
-        kind_key = checked_str(axis["kind"], f"axis {i}: kind")
-        if kind_key not in KIND_BY_KEY:
-            raise ValueError(
-                f"axis {i}: unknown kind {kind_key!r} "
-                f"(known: {sorted(KIND_BY_KEY)})"
-            )
-        values = axis["values"]
-        if not isinstance(values, list) or not values:
-            raise ValueError(f"axis {i}: 'values' must be a non-empty array")
-        kind = KIND_BY_KEY[kind_key]
-        _check_axis_values(i, kind, values)
-        # Two values with one config-id token would write one config twice.
-        tokens: set[str] = set()
-        for value in values:
-            token = transform_token(ScalingTransform(kind, value))
-            if token in tokens:
-                raise ValueError(
-                    f"axis {i}: {kind_key} value {value!r} repeats an earlier value ({token})"
-                )
-            tokens.add(token)
-        axes.append(SweepAxis(kind, tuple(values)))
-    kwargs: dict[str, Any] = {}
-    if "cap" in data:
-        kwargs["cap"] = checked_int(data["cap"], "space file: cap")
-        if kwargs["cap"] < 1:
-            raise ValueError(f"space file: cap must be >= 1, got {kwargs['cap']}")
-    space = SweepSpace(
-        base_name=base_name,
-        base_spec=base_spec,
-        base_eval=base_eval,
-        axes=tuple(axes),
-        **kwargs,
-    )
-    return space, spec_path
+        base_name, base_eval = base_spec.name, EvalConfig()
+    base_eval = base_eval._replace(**(space.eval or {}))
+    return SweepSpace(base_name, base_spec, base_eval, tuple(axes), space.cap), spec_path
 
 
 # The staging directory of a _cmd_sweep run, inside --out.

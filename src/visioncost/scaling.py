@@ -298,7 +298,7 @@ def config_id_of(base_name: str, chain: Iterable[ScalingTransform]) -> str:
     return ";".join([base_name, *map(transform_token, chain)])
 
 
-# Sweep axis and config id keys.
+# Config id keys.
 KIND_BY_KEY = {k.value: k for k in TransformKind}
 
 
@@ -312,7 +312,9 @@ def _parse_one(token: str) -> ScalingTransform:
     if kind is TransformKind.DTYPE:
         return ScalingTransform(kind, dtype_from_name(raw))
     try:
-        value = float(raw) if kind is TransformKind.WIDTH else int(raw)
+        # A width written as ASCII digits is an int, read exactly at any size.
+        exact = kind is not TransformKind.WIDTH or (raw.isascii() and raw.isdigit())
+        value = int(raw) if exact else float(raw)
     except ValueError:
         raise ScalingError(f"bad value {raw!r} in {token!r}") from None
     return ScalingTransform(kind, value)

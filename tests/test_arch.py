@@ -32,8 +32,11 @@ from visioncost.arch import (
     validate_spec,
     validate_vit,
 )
+from visioncost.cli import _SpaceFile
 from visioncost.cost import InfeasibleResolution, ShapeMismatch, cost_report
 from visioncost.presets import resnet50
+from visioncost.scaling import TransformKind
+from visioncost.search import SweepAxis
 
 
 def tiny_cnn(**overrides):
@@ -316,6 +319,23 @@ class TestJsonRoundTrip:
         assert arch._FIELD_CHECKS[ViTSpec]["name"] is arch.checked_str
         assert arch._FIELD_CHECKS[Pool]["kind"] is arch.checked_str
         assert list(arch._FIELD_CHECKS[CnnSpec]) == ["name", "input_channels"]
+        # A space file's eval, its axes and its top level: each checked
+        # value is stored as its field's type.
+        checks = arch._FIELD_CHECKS[EvalConfig]
+        assert list(checks) == ["batch_size", "dtype", "input_resolution", "flop_convention"]
+        assert checks["batch_size"] is arch.checked_int
+        assert checks["dtype"]("FP16", "dtype") is DTYPES["fp16"]
+        assert checks["flop_convention"]("full_count", "f") is FlopConvention.FULL_COUNT
+        with pytest.raises(ValueError, match="f must be one of .*, got \"full\""):
+            checks["flop_convention"]("full", "f")
+        checks = arch._field_checks(SweepAxis)
+        assert list(checks) == ["kind", "values"]
+        assert checks["kind"]("gw", "kind") is TransformKind.GROUP_WIDTH
+        assert checks["values"]([1, 2], "values") == (1, 2)
+        checks = arch._field_checks(_SpaceFile)
+        assert list(checks) == ["axes", "base", "spec_file", "eval", "cap"]
+        assert checks["eval"]({}, "eval") == {}
+        assert checks["cap"] is arch.checked_int
 
     def test_schema_refuses_a_field_type_it_cannot_check(self):
         class Odd(NamedTuple):

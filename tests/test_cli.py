@@ -638,7 +638,7 @@ class TestSweep:
         assert code == 2
         payload = json.loads(err)
         assert payload["error"] == "space"
-        assert payload["message"] == "axis 0: 'values' must be a non-empty array"
+        assert payload["message"] == "axis 0: values must be a non-empty array"
         assert not (tmp_path / "out").exists()
 
     def test_non_string_spec_name_is_a_space_error(self, run, tmp_path):
@@ -824,6 +824,47 @@ class TestSweep:
         assert run("sweep", space, "--out", tmp_path / "out")[0] == 0
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["eval"]["input_resolution"] is None
+
+    def test_space_eval_overrides_only_the_keys_it_names(self, run, tmp_path):
+        # seg_backbone_gw16's preset eval is 768 px; an eval without
+        # input_resolution keeps it, so one config id names one cost.
+        outputs = {}
+        for name, extra in [
+            ("plain", {}),
+            ("noop", {"eval": {"batch_size": 1}}),
+            ("fp16", {"eval": {"dtype": "FP16"}}),
+        ]:
+            space = write_space(
+                tmp_path / f"{name}.json", "seg_backbone_gw16", ("batch", [1, 2]), **extra
+            )
+            assert run("sweep", space, "--out", tmp_path / name)[0] == 0
+            outputs[name] = (tmp_path / name / "frontier.csv").read_text()
+        assert outputs["noop"] == outputs["plain"]
+        manifest = json.loads((tmp_path / "fp16" / "manifest.json").read_text())
+        assert manifest["eval"] == {
+            "batch_size": 1, "dtype": "fp16", "input_resolution": 768,
+            "flop_convention": "closed_form",
+        }
+        rows = list(csv.reader(io.StringIO(outputs["plain"])))[1:]
+        assert [row[0] for row in rows] == [f"seg_backbone_gw16;batch={b}" for b in (1, 2)]
+        for config_id, *counts in rows:
+            config = parse_config_id(config_id)
+            report = cost_report(config.spec, config.eval)
+            assert report.resolution == 768
+            assert counts == [
+                str(report.flops), str(report.peak_activation_bytes), str(report.model_bytes),
+                str(report.total_memory_bytes),
+            ]
+
+    @pytest.mark.parametrize("field", ["batch_size", "input_resolution"])
+    def test_eval_constructor_fault_names_the_eval(self, run, tmp_path, field):
+        space = write_space(tmp_path / "s.json", "vit_small", ("depth", [6]), eval={field: 0})
+        code, out, err = run("sweep", space, "--out", tmp_path / "out")
+        assert (code, out) == (2, "")
+        payload = json.loads(err)
+        assert payload["error"] == "space"
+        assert payload["message"] == f"eval: {field} must be >= 1, got 0"
+        assert not (tmp_path / "out").exists()
 
     def test_reports_are_one_line_of_compact_json(
         self, run, tmp_path, space_file, annotations_file
@@ -1308,6 +1349,73 @@ class TestSpaceAndAnnotationFuzz:
             assert len(points) == 4
         else:
             _assert_one_error_line(code, out, err)
+
+
+# Values of the wrong JSON type for each field type of a space file.
+_WRONG_TYPED = {
+    "int": [None, True, 4.0, "4", [4], {}],
+    "int or null": [True, 4.0, "4", [4], {}],  # null: the spec default
+    "string": [None, False, 4, ["x"], {}],
+    "array": [None, 4, "x", {}, []],  # [] is not a non-empty array
+    "object": [None, 4, "x", [{}]],
+}
+
+# (where, field, field type) of every key a space file may hold.
+_SPACE_FIELDS = [
+    ("", "axes", "array"), ("", "base", "string"), ("", "spec_file", "string"),
+    ("", "eval", "object"), ("", "cap", "int"),
+    ("eval: ", "batch_size", "int"), ("eval: ", "dtype", "string"),
+    ("eval: ", "input_resolution", "int or null"), ("eval: ", "flop_convention", "string"),
+    ("axis {}: ", "kind", "string"), ("axis {}: ", "values", "array"),
+]
+
+
+class TestSpaceSchema:
+    """Every key of a space file, its eval and its axes is checked by its
+    field's type."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(base=st.sampled_from(sorted(_SPACES)), field=st.sampled_from(_SPACE_FIELDS),
+           data=st.data())
+    def test_wrong_typed_field_is_named(self, tmp_path_factory, base, field, data):
+        where, name, kind = field
+        space = json.loads(json.dumps(_SPACES[base]))
+        value = data.draw(st.sampled_from(_WRONG_TYPED[kind]))
+        if where == "eval: ":
+            space.setdefault("eval", {})[name] = value
+        elif where:
+            i = data.draw(st.integers(0, len(space["axes"]) - 1))
+            space["axes"][i][name] = value
+            where = where.format(i)
+        else:
+            space[name] = value
+        tmp = tmp_path_factory.mktemp("space")
+        (tmp / "s.json").write_text(json.dumps(space))
+        code, out, err = _sweep_quietly("sweep", tmp / "s.json", "--out", tmp / "out")
+        assert (code, out) == (2, "")
+        payload = json.loads(err)
+        assert payload["error"] == "space"
+        assert payload["message"].startswith(f"{where}{name} must be ")
+        assert not (tmp / "out").exists()
+
+    @settings(max_examples=30, deadline=None)
+    @given(kind=st.sampled_from(["width", "gw"]), value=st.integers(2**53 + 1, 2**80))
+    def test_int_widths_survive_the_config_id(self, tmp_path_factory, kind, value):
+        base = "resnet50" if kind == "width" else "seg_backbone_gw16"
+        tmp = tmp_path_factory.mktemp("wide")
+        space = write_space(tmp / "s.json", base, (kind, [value]))
+        assert _sweep_quietly("sweep", space, "--out", tmp / "out")[0] == 0
+        (config_id, *counts), = list(csv.reader(io.StringIO(
+            (tmp / "out" / "frontier.csv").read_text()
+        )))[1:]
+        assert config_id == f"{base};{kind}={value}"
+        config = parse_config_id(config_id)
+        report = cost_report(config.spec, config.eval)
+        assert config.config_id == config_id
+        assert counts == [
+            str(report.flops), str(report.peak_activation_bytes), str(report.model_bytes),
+            str(report.total_memory_bytes),
+        ]
 
 
 class TestMatch:

@@ -1,4 +1,5 @@
-"""The README's Python examples run as written against the top-level API."""
+"""The README's Python examples run as written against the top-level API,
+and its space file sweeps as written."""
 
 import contextlib
 import io
@@ -6,9 +7,12 @@ import re
 from pathlib import Path
 
 import visioncost
+from visioncost.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
-BLOCKS = re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"), re.M | re.S)
+TEXT = README.read_text(encoding="utf-8")
+BLOCKS = re.findall(r"^```python\n(.*?)^```$", TEXT, re.M | re.S)
+(SPACE,) = [b for b in re.findall(r"^```json\n(.*?)^```$", TEXT, re.M | re.S) if '"axes"' in b]
 
 
 def run_block(source):
@@ -36,3 +40,10 @@ def test_library_example(tmp_path, monkeypatch):
     rebuilt = visioncost.parse_config_id(cfg.config_id)
     assert rebuilt.config_id == cfg.config_id
     assert (rebuilt.spec, rebuilt.eval) == (cfg.spec, cfg.eval)
+
+
+def test_space_example_sweeps(tmp_path, capsys):
+    (tmp_path / "space.json").write_text(SPACE)
+    assert main(["sweep", str(tmp_path / "space.json"), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out.startswith("wrote 10 configs (0 skipped)")
+    assert len((tmp_path / "out" / "frontier.csv").read_text().splitlines()) == 11

@@ -187,6 +187,17 @@ class TestWidth:
         assert config.config_id == "resnet50;width=1e+308"
         assert config.spec.layers[0].out_ch == 64 * 10**308
 
+    @pytest.mark.parametrize("width", [2**60 + 1, 10**400], ids=["past-2**53", "past-float"])
+    def test_config_id_with_int_width_round_trips(self, width):
+        config = make_config(
+            "resnet50", resnet50(), EvalConfig(), [ScalingTransform(K.WIDTH, width)]
+        )
+        assert config.config_id == f"resnet50;width={width}"
+        rebuilt = parse_config_id(config.config_id, base_eval=EvalConfig())
+        assert rebuilt.transforms[0].parameter == width
+        assert type(rebuilt.transforms[0].parameter) is int
+        assert (rebuilt.config_id, rebuilt.spec) == (config.config_id, config.spec)
+
 
 class TestGroupWidth:
     def test_halving_group_width_is_exact(self):
