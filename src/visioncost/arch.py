@@ -19,22 +19,12 @@ from pathlib import Path
 from typing import Any, Callable, NamedTuple, Union, get_type_hints
 
 
-class _DTypeDesc(NamedTuple):
+class DTypeDesc(NamedTuple):
+    """Numeric storage format: a name and its element width in bytes. Only
+    the constants below are built; outside input names one of them."""
+
     name: str
     bytes_per_element: int
-
-
-class DTypeDesc(_DTypeDesc):
-    """Numeric storage format: a name and its element width in bytes."""
-
-    __slots__ = ()
-
-    def __new__(cls, name: str, bytes_per_element: int) -> DTypeDesc:
-        if bytes_per_element not in (1, 2, 4, 8):
-            raise ValueError(
-                f"bytes_per_element must be 1, 2, 4 or 8, got {bytes_per_element}"
-            )
-        return super().__new__(cls, name, bytes_per_element)
 
 
 FP64 = DTypeDesc("fp64", 8)

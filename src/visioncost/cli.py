@@ -129,9 +129,7 @@ def _load_valid_spec(path: str) -> ArchSpec:
             EXIT_VALIDATION,
             "validation",
             f"{len(violations)} violation(s) in {path}",
-            violations=[
-                {"layer_index": v.layer_index, "message": v.message} for v in violations
-            ],
+            violations=[v._asdict() for v in violations],
         )
     return spec
 
@@ -281,7 +279,9 @@ _STAGING_NAME = re.compile(r"\.sweep-[0-9a-f]{12}")
 
 
 def _remove_stale_staging(out_dir: Path) -> None:
-    """Remove staging directories that a run killed before its commit left."""
+    """Remove staging directories that runs killed before their commit left.
+    It runs after this run's commit, so one that cannot be removed is named
+    in a warning and left."""
     with os.scandir(out_dir) as entries:
         stale = [
             entry.path
@@ -289,8 +289,12 @@ def _remove_stale_staging(out_dir: Path) -> None:
             if _STAGING_NAME.fullmatch(entry.name) and entry.is_dir(follow_symlinks=False)
         ]
     for path in stale:
-        shutil.rmtree(path)
-        logger.warning("removed stale staging directory %s", path)
+        try:
+            shutil.rmtree(path)
+        except OSError as exc:
+            logger.warning("cannot remove stale staging directory %s: %s", path, exc)
+        else:
+            logger.warning("removed stale staging directory %s", path)
 
 
 def _write_table(
@@ -318,28 +322,6 @@ def _safe_filename(config_id: str) -> str:
     digest = hashlib.sha256(config_id.encode("utf-8")).hexdigest()[:8]
     safe = re.sub(r"[^A-Za-z0-9._-]+", "_", config_id).strip("_")[:100]
     return f"{safe}-{digest}.json"
-
-
-def _eval_to_dict(cfg: EvalConfig) -> dict[str, Any]:
-    return {
-        "batch_size": cfg.batch_size,
-        "dtype": cfg.dtype.name,
-        "input_resolution": cfg.input_resolution,
-        "flop_convention": cfg.flop_convention.value,
-    }
-
-
-def _manifest(
-    command: Sequence[str], inputs: Sequence[Path], cfg: EvalConfig
-) -> dict[str, Any]:
-    return {
-        "tool": "visioncost",
-        "version": __version__,
-        "command": list(command),
-        "inputs": {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in inputs},
-        "eval": _eval_to_dict(cfg),
-        "generated_at": datetime.now(timezone.utc).isoformat(),
-    }
 
 
 def _cmd_sweep(args: argparse.Namespace, argv: Sequence[str]) -> int:
@@ -412,13 +394,19 @@ def _cmd_sweep(args: argparse.Namespace, argv: Sequence[str]) -> int:
         n, kind = len(space.axes), space.axes[0].kind.value
         plot_rows = ([";".join(p.config_id.rsplit(";", n)[1:-1]) or kind, *p[:-1]] for p in points)
         _write_table(staging / "plot.tsv", ["series", *FRONTIER_COLUMNS], plot_rows, delimiter="\t")
-        manifest = _manifest(argv, input_files, space.base_eval)
-        manifest.update(
-            configs=len(points),
-            skipped=len(skipped),
-            annotations_matched=len(table) - len(unmatched),
-            annotations_unmatched=len(unmatched),
-        )
+        manifest = {
+            "tool": "visioncost",
+            "version": __version__,
+            "command": list(argv),
+            "inputs": {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in input_files},
+            # json writes the str-Enum flop_convention as its value.
+            "eval": {**space.base_eval._asdict(), "dtype": space.base_eval.dtype.name},
+            "generated_at": datetime.now(timezone.utc).isoformat(),
+            "configs": len(points),
+            "skipped": len(skipped),
+            "annotations_matched": len(table) - len(unmatched),
+            "annotations_unmatched": len(unmatched),
+        }
         manifest_text = json.dumps(manifest, indent=2) + "\n"
         (staging / "manifest.json").write_text(manifest_text, encoding="utf-8")
 
@@ -430,12 +418,12 @@ def _cmd_sweep(args: argparse.Namespace, argv: Sequence[str]) -> int:
         for name in ("reports", "frontier.csv", "pareto.csv", "plot.tsv", "manifest.json"):
             os.replace(staging / name, out_dir / name)
         shutil.rmtree(staging)
-        _remove_stale_staging(out_dir)  # after the removal: this run's is not stale
     except OSError as exc:
         raise CliError(EXIT_IO, "io", f"cannot write to {out_dir}: {exc}") from None
     finally:
         if staging is not None:  # already gone after a commit
             shutil.rmtree(staging, ignore_errors=True)
+    _remove_stale_staging(out_dir)  # after the removal: this run's is not stale
 
     print(
         f"wrote {len(points)} configs ({len(skipped)} skipped), "
@@ -504,12 +492,10 @@ def _cmd_match(args: argparse.Namespace) -> int:
 # best
 
 
+# Each cost column names itself; "memory" is total_memory_bytes.
 _OBJECTIVE_ALIASES = {
-    "flops": "flops",
+    **{column: column for column in FRONTIER_COLUMNS[1:]},
     "memory": "total_memory_bytes",
-    "total_memory_bytes": "total_memory_bytes",
-    "peak_activation_bytes": "peak_activation_bytes",
-    "model_bytes": "model_bytes",
 }
 
 
@@ -547,11 +533,7 @@ def _cmd_best(args: argparse.Namespace) -> int:
     except ValueError as exc:  # a baseline that names no row
         raise CliError(EXIT_VALIDATION, "baseline", str(exc), path=str(frontier)) from None
     payload = {
-        "config_id": choice.config_id,
-        "flops": choice.flops,
-        "peak_activation_bytes": choice.peak_activation_bytes,
-        "model_bytes": choice.model_bytes,
-        "total_memory_bytes": choice.total_memory_bytes,
+        **choice._asdict(),
         "annotations": dict(sorted(choice.annotations.items())),
         "baseline": baseline,
         "metric": args.metric,
@@ -566,9 +548,7 @@ def _cmd_best(args: argparse.Namespace) -> int:
 # presets
 
 
-def _cmd_presets(args: argparse.Namespace) -> int:
-    if args.action != "list":
-        raise UsageError(f"unknown presets action {args.action!r}")
+def _cmd_presets() -> int:
     for name in sorted(PRESETS):
         entry = PRESETS[name]
         spec = entry.build()
@@ -633,8 +613,7 @@ def build_parser() -> _Parser:
     )
     p_best.add_argument("--baseline", default=None, help="baseline config id")
 
-    p_presets = sub.add_parser("presets", help="built-in architecture specs")
-    p_presets.add_argument("action", nargs="?", default="list", help="'list'")
+    sub.add_parser("presets", help="built-in architecture specs")
 
     return parser
 
@@ -660,7 +639,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "best":
             return _cmd_best(args)
         if args.command == "presets":
-            return _cmd_presets(args)
+            return _cmd_presets()
         raise UsageError(f"unknown command {args.command!r}")
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -49,22 +49,21 @@ from .arch import (
     ViTSpec,
 )
 
-class InfeasibleResolution(Exception):
+class _LayerError(Exception):
+    """A fault at one layer: ``layer_index`` and ``message``."""
+
+    def __init__(self, layer_index: int, message: str):
+        super().__init__(f"layer {layer_index}: {message}")
+        self.layer_index = layer_index
+        self.message = message
+
+
+class InfeasibleResolution(_LayerError):
     """A layer's output spatial size fell below 1 at the given resolution."""
 
-    def __init__(self, layer_index: int, message: str):
-        super().__init__(f"layer {layer_index}: {message}")
-        self.layer_index = layer_index
-        self.message = message
 
-
-class ShapeMismatch(Exception):
+class ShapeMismatch(_LayerError):
     """Tensor shapes disagree in a way no input resolution can fix."""
-
-    def __init__(self, layer_index: int, message: str):
-        super().__init__(f"layer {layer_index}: {message}")
-        self.layer_index = layer_index
-        self.message = message
 
 
 class CountTooLarge(ValueError):
@@ -472,17 +471,8 @@ def _report_header(report: CostReport) -> dict[str, Any]:
 def report_to_dict(report: CostReport) -> dict[str, Any]:
     out = _report_header(report)
     out["per_layer"] = [
-        {
-            "layer_index": i,
-            "name": name,
-            "out_shape": shape,
-            "flops": flops,
-            "activation_bytes": act,
-            "param_count": params,
-        }
-        for (i, name, _, flops, act, params), shape in zip(
-            report.per_layer, _shape_text(report)
-        )
+        {**row._asdict(), "out_shape": shape}
+        for row, shape in zip(report.per_layer, _shape_text(report))
     ]
     return out
 
@@ -529,7 +519,7 @@ def report_to_json(report: CostReport, indent: int | None = 2) -> str:
     return f"{head}{open_rows}{rows}{close}"
 
 
-CSV_HEADER = ("layer_index", "name", "out_shape", "flops", "activation_bytes", "param_count")
+CSV_HEADER = LayerCost._fields
 
 
 def report_to_csv(report: CostReport) -> str:

@@ -279,13 +279,8 @@ class AnnotationTable:
         return len(self.values)
 
 
-FRONTIER_COLUMNS = (
-    "config_id",
-    "flops",
-    "peak_activation_bytes",
-    "model_bytes",
-    "total_memory_bytes",
-)
+# frontier.csv's columns before the metric columns: every field but annotations.
+FRONTIER_COLUMNS = FrontierPoint._fields[:-1]
 
 
 def read_frontier_csv(path: str | Path) -> tuple[list[FrontierPoint], list[str]]:

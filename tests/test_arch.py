@@ -13,7 +13,6 @@ from visioncost.arch import (
     CnnSpec,
     Conv2d,
     DTYPES,
-    DTypeDesc,
     EvalConfig,
     FlopConvention,
     GlobalPool,
@@ -72,11 +71,6 @@ class TestDtypes:
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown dtype"):
             dtype_from_name("fp8")
-
-    @pytest.mark.parametrize("nbytes", [0, 3, 16, -1])
-    def test_bad_width_rejected(self, nbytes):
-        with pytest.raises(ValueError):
-            DTypeDesc("weird", nbytes)
 
 
 class TestCnnValidation:

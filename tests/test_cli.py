@@ -7,6 +7,7 @@ import io
 import json
 import logging
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -621,6 +622,34 @@ class TestSweep:
         assert sorted(removed) == sorted(
             f"removed stale staging directory {out_dir / name}" for name in stale
         )
+
+    def test_stale_directory_that_cannot_be_removed_is_left(
+        self, run, tmp_path, space_file, caplog, monkeypatch
+    ):
+        out_dir = tmp_path / "out"
+        stuck = out_dir / ".sweep-aaaaaaaaaaaa"
+        (stuck / "sub").mkdir(parents=True)
+        real_rmtree = shutil.rmtree
+
+        def rmtree(path, *args, **kwargs):
+            if Path(path) == stuck:
+                raise PermissionError(13, "Permission denied", str(path))
+            return real_rmtree(path, *args, **kwargs)
+
+        monkeypatch.setattr(shutil, "rmtree", rmtree)
+        with caplog.at_level(logging.WARNING):
+            code, out, err = run("sweep", space_file, "--out", out_dir)
+        # The run had committed: it exits 0 and says what it wrote.
+        assert code == 0 and out.startswith("wrote 4 configs") and "{" not in err
+        assert {p.name for p in out_dir.iterdir()} == {
+            stuck.name, "reports", "frontier.csv", "pareto.csv", "plot.tsv", "manifest.json"
+        }
+        assert (stuck / "sub").is_dir()
+        warnings = [r.getMessage() for r in caplog.records if "stale staging" in r.getMessage()]
+        assert warnings == [
+            f"cannot remove stale staging directory {stuck}: "
+            f"[Errno 13] Permission denied: '{stuck}'"
+        ]
 
     def test_rejected_run_leaves_earlier_output_untouched(self, run, tmp_path, space_file):
         out_dir = tmp_path / "out"
@@ -1777,3 +1806,61 @@ class TestPresets:
         assert code == 0
         for name in ("resnet50", "vit_small", "vit_base", "seg_backbone_gw16"):
             assert name in out
+
+    def test_takes_no_argument(self, run):
+        code, out, err = run("presets", "list")
+        assert (code, out) == (64, "")
+        assert err == "usage error: unrecognized arguments: list\n"
+
+
+def _pairs(text):
+    """JSON ``text`` with each object read as its list of (key, value)
+    pairs, in the order the text writes them."""
+    return json.loads(text, object_pairs_hook=list)
+
+
+def _keys(pairs):
+    return [key for key, _ in pairs]
+
+
+class TestOutputKeyOrder:
+    """The order of the keys each JSON output writes, read from its text:
+    each follows the field order of the record it is built from. The CSV
+    headers are pinned as text by TestCost::test_csv_output and
+    TestSweep::test_writes_all_outputs."""
+
+    def test_sweep_outputs(self, run, tmp_path, space_file, annotations_file):
+        out_dir = tmp_path / "out"
+        assert run("sweep", space_file, "--out", out_dir, "--annotations", annotations_file)[0] == 0
+        manifest = _pairs((out_dir / "manifest.json").read_text())
+        assert _keys(manifest) == [
+            "tool", "version", "command", "inputs", "eval", "generated_at",
+            "configs", "skipped", "annotations_matched", "annotations_unmatched",
+        ]
+        assert dict(manifest)["eval"] == [
+            ("batch_size", 1), ("dtype", "fp32"), ("input_resolution", 9),
+            ("flop_convention", "full_count"),
+        ]
+
+    def test_best_payload(self, run, tmp_path, space_file, annotations_file):
+        out_dir = tmp_path / "out"
+        assert run("sweep", space_file, "--out", out_dir, "--annotations", annotations_file)[0] == 0
+        code, out, _ = run("best", out_dir, "--metric", "top1", "--max-drop", 2.0)
+        assert code == 0
+        assert _keys(_pairs(out)) == [
+            "config_id", "flops", "peak_activation_bytes", "model_bytes", "total_memory_bytes",
+            "annotations", "baseline", "metric", "max_drop", "objective",
+        ]
+
+    def test_violations(self, run, tmp_path):
+        spec = CnnSpec(
+            name="bad",
+            input_channels=3,
+            layers=(Conv2d(3, 8, kernel=3), Conv2d(99, 8, kernel=3), Conv2d(98, 8, kernel=3)),
+        )
+        save_spec(spec, tmp_path / "bad.json")
+        code, _, err = run("cost", tmp_path / "bad.json")
+        assert code == 2
+        violations = dict(_pairs(err))["violations"]
+        assert len(violations) >= 2
+        assert all(_keys(v) == ["layer_index", "message"] for v in violations)
