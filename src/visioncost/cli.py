@@ -417,13 +417,14 @@ def _cmd_sweep(args: argparse.Namespace, argv: Sequence[str]) -> int:
         # The manifest last: once it is in place, so is what it describes.
         for name in ("reports", "frontier.csv", "pareto.csv", "plot.tsv", "manifest.json"):
             os.replace(staging / name, out_dir / name)
-        shutil.rmtree(staging)
     except OSError as exc:
         raise CliError(EXIT_IO, "io", f"cannot write to {out_dir}: {exc}") from None
     finally:
-        if staging is not None:  # already gone after a commit
+        # After a commit, a staging directory that cannot be removed is
+        # left to the stale scan below, which warns; the run still exits 0.
+        if staging is not None:
             shutil.rmtree(staging, ignore_errors=True)
-    _remove_stale_staging(out_dir)  # after the removal: this run's is not stale
+    _remove_stale_staging(out_dir)
 
     print(
         f"wrote {len(points)} configs ({len(skipped)} skipped), "

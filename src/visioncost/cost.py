@@ -137,10 +137,11 @@ _new_tuple = tuple.__new__
 
 
 def _cnn_walk(
-    spec: CnnSpec, cfg: EvalConfig
+    spec: CnnSpec, cfg: EvalConfig, keep_rows: bool
 ) -> tuple[tuple[LayerCost, ...], int, int, int]:
     """Walk the layers once, building the rows and the totals together:
-    ``(per_layer, flops, peak_activation_bytes, param_count)``.
+    ``(per_layer, flops, peak_activation_bytes, param_count)``, with no
+    rows when ``keep_rows`` is false.
 
     Raises InfeasibleResolution where a window does not fit the input, and
     ShapeMismatch where channels, residual grids or a flattened map do not
@@ -243,20 +244,21 @@ def _cnn_walk(
         shapes.append(out)
         sizes.append(out_size)
         shape, size = out, out_size
-        dims = (out[0],) if kind is Linear else out
         act *= be
-        rows.append(_new_tuple(LayerCost, (i, name, dims, f, act, w)))
+        if keep_rows:
+            dims = (out[0],) if kind is Linear else out
+            rows.append(_new_tuple(LayerCost, (i, name, dims, f, act, w)))
         flops += f
         params += w
         if act > peak:
             peak = act
-    return tuple(rows), flops, peak if rows else 0, params
+    return tuple(rows), flops, peak if spec.layers else 0, params
 
 
 # No src/ caller; perfbench/spans.py patches it, so --trace 1 needs it.
 def propagate_shapes(spec: CnnSpec, cfg: EvalConfig) -> list[tuple[int, ...]]:
     """Per-layer output shapes; raises InfeasibleResolution / ShapeMismatch."""
-    return [c.out_shape for c in _cnn_walk(spec, cfg)[0]]
+    return [c.out_shape for c in _cnn_walk(spec, cfg, True)[0]]
 
 
 # --------------------------------------------------------------------------
@@ -288,10 +290,11 @@ def vit_block_params_closed(hidden_dim: int, mlp_dim: int) -> int:
 
 
 def vit_cost_closed(
-    spec: ViTSpec, cfg: EvalConfig
+    spec: ViTSpec, cfg: EvalConfig, keep_rows: bool
 ) -> tuple[tuple[LayerCost, ...], int, int, int]:
     """Closed-form block-body costs, embedding and classifier excluded:
-    ``(per_layer, flops, peak_activation_bytes, param_count)``."""
+    ``(per_layer, flops, peak_activation_bytes, param_count)``, with no
+    rows when ``keep_rows`` is false."""
     n = cfg.resolution_for(spec)
     b = cfg.batch_size
     e = cfg.dtype.bytes_per_element
@@ -299,7 +302,8 @@ def vit_cost_closed(
     block_act = vit_block_activation_elems_closed(n, spec.hidden_dim, spec.mlp_dim)
     block_params = vit_block_params_closed(spec.hidden_dim, spec.mlp_dim)
     row = ((n * n, spec.hidden_dim), b * block_flops, block_act * b * e, block_params)
-    per_layer = tuple(_new_tuple(LayerCost, (i, f"block{i}", *row)) for i in range(spec.depth))
+    count = spec.depth if keep_rows else 0
+    per_layer = tuple(_new_tuple(LayerCost, (i, f"block{i}", *row)) for i in range(count))
     peak = block_act * b * e if spec.depth > 0 else 0
     return per_layer, b * block_flops * spec.depth, peak, block_params * spec.depth
 
@@ -308,10 +312,11 @@ _LAYER_NORM_FLOPS_PER_ELEM = 5
 
 
 def vit_cost_full(
-    spec: ViTSpec, cfg: EvalConfig
+    spec: ViTSpec, cfg: EvalConfig, keep_rows: bool
 ) -> tuple[tuple[LayerCost, ...], int, int, int]:
     """Walk every transformer operator, embedding and classifier included:
-    ``(per_layer, flops, peak_activation_bytes, param_count)``.
+    ``(per_layer, flops, peak_activation_bytes, param_count)``, with no
+    rows when ``keep_rows`` is false.
 
     Linear operators carry no bias terms, matching the closed-form parameter
     formula; the score matrix is materialized, so the activation footprint
@@ -373,12 +378,14 @@ def vit_cost_full(
     edges = [(name, s, b * f, be * a, w) for name, s, f, a, w in edges]
 
     depth = spec.depth
-    ops = edges[:1]
-    for i in range(depth):
-        pre = f"block{i}."
-        ops += [(pre + name, s, f, a, w) for name, s, f, a, w in block]
-    ops += edges[1:]
-    per_layer = tuple([_new_tuple(LayerCost, (i, *op)) for i, op in enumerate(ops)])
+    per_layer: tuple[LayerCost, ...] = ()
+    if keep_rows:
+        ops = edges[:1]
+        for i in range(depth):
+            pre = f"block{i}."
+            ops += [(pre + name, s, f, a, w) for name, s, f, a, w in block]
+        ops += edges[1:]
+        per_layer = tuple([_new_tuple(LayerCost, (i, *op)) for i, op in enumerate(ops)])
 
     flops = sum(op[2] for op in edges) + depth * sum(op[2] for op in block)
     params = sum(op[4] for op in edges) + depth * sum(op[4] for op in block)
@@ -386,21 +393,27 @@ def vit_cost_full(
     return per_layer, flops, peak, params
 
 
-def cost_report(spec: ArchSpec, cfg: EvalConfig | None = None) -> CostReport:
+def cost_report(
+    spec: ArchSpec, cfg: EvalConfig | None = None, *, rows: bool = True
+) -> CostReport:
     """Full cost report for a spec under the given evaluation settings.
 
+    With ``rows=False`` no per-layer row is built and ``per_layer`` is
+    ``()``; every other field is the same as with rows.
+
     Raises CountTooLarge when the report would have more than
-    MAX_REPORT_ROWS rows, or a total has too many digits to be written.
+    MAX_REPORT_ROWS rows, even with ``rows=False``, or a total has too many
+    digits to be written.
     """
     cfg = cfg or EvalConfig()
     is_vit = isinstance(spec, ViTSpec)
     full = cfg.flop_convention is FlopConvention.FULL_COUNT
     # full_count: 14 operators per block, plus patch embed, final norm, pool, head
-    rows = (14 * spec.depth + 4 if full else spec.depth) if is_vit else len(spec.layers)
-    if rows > MAX_REPORT_ROWS:
+    count = (14 * spec.depth + 4 if full else spec.depth) if is_vit else len(spec.layers)
+    if count > MAX_REPORT_ROWS:
         raise CountTooLarge(f"the report would have more than {MAX_REPORT_ROWS} rows")
     walk = (vit_cost_full if full else vit_cost_closed) if is_vit else _cnn_walk
-    per_layer, flops, peak, params = walk(spec, cfg)
+    per_layer, flops, peak, params = walk(spec, cfg, rows)
     e = cfg.dtype.bytes_per_element
     model = params * e
     report = CostReport(

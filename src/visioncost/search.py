@@ -493,7 +493,7 @@ def match_flops_budget(
                 base_name, base_spec, base_eval, (ScalingTransform(knob, value),)
             )
             try:
-                cache[value] = (config, cost_report(config.spec, config.eval).flops)
+                cache[value] = (config, cost_report(config.spec, config.eval, rows=False).flops)
             except InfeasibleResolution:
                 return -1
         return cache[value][1]

@@ -651,6 +651,36 @@ class TestSweep:
             f"[Errno 13] Permission denied: '{stuck}'"
         ]
 
+    def test_own_staging_that_cannot_be_removed_is_left(
+        self, run, tmp_path, space_file, caplog, monkeypatch
+    ):
+        out_dir = tmp_path / "out"
+        assert run("sweep", space_file, "--out", out_dir)[0] == 0  # an old reports/ to move
+        real_rmtree = shutil.rmtree
+
+        def rmtree(path, ignore_errors=False, *args, **kwargs):
+            if Path(path).name.startswith(".sweep-"):
+                if ignore_errors:
+                    return None
+                raise PermissionError(13, "Permission denied", str(path))
+            return real_rmtree(path, ignore_errors, *args, **kwargs)
+
+        monkeypatch.setattr(shutil, "rmtree", rmtree)
+        with caplog.at_level(logging.WARNING):
+            code, out, err = run("sweep", space_file, "--out", out_dir)
+        # Every output was committed: the run exits 0 and says what it wrote.
+        assert code == 0 and out.startswith("wrote 4 configs") and "{" not in err
+        (staging,) = out_dir.glob(".sweep-*")
+        assert {p.name for p in out_dir.iterdir()} == {
+            staging.name, "reports", "frontier.csv", "pareto.csv", "plot.tsv", "manifest.json"
+        }
+        assert [p.name for p in staging.iterdir()] == ["reports.old"]
+        warnings = [r.getMessage() for r in caplog.records if "stale staging" in r.getMessage()]
+        assert warnings == [
+            f"cannot remove stale staging directory {staging}: "
+            f"[Errno 13] Permission denied: '{staging}'"
+        ]
+
     def test_rejected_run_leaves_earlier_output_untouched(self, run, tmp_path, space_file):
         out_dir = tmp_path / "out"
         assert run("sweep", space_file, "--out", out_dir)[0] == 0

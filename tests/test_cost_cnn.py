@@ -308,6 +308,22 @@ def test_every_row_matches_the_oracle(case):
     assert rep.model_bytes == e * sum(row[4] for row in want)
 
 
+@settings(max_examples=300, deadline=None)
+@given(case=cnn_cases())
+def test_totals_only_report_is_the_report_without_its_rows(case):
+    """``rows=False`` gives the same report with ``per_layer == ()``, or
+    raises the same fault at the same layer."""
+    spec, cfg = case
+    try:
+        want = cost_report(spec, cfg)
+    except (InfeasibleResolution, ShapeMismatch) as fault:
+        with pytest.raises((InfeasibleResolution, ShapeMismatch)) as exc:
+            cost_report(spec, cfg, rows=False)
+        assert type(exc.value) is type(fault) and str(exc.value) == str(fault)
+        return
+    assert cost_report(spec, cfg, rows=False) == want._replace(per_layer=())
+
+
 def stack(*layers, in_ch=3, name="stack"):
     return CnnSpec(name=name, input_channels=in_ch, layers=tuple(layers))
 

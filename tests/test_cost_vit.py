@@ -15,12 +15,13 @@ from hypothesis import strategies as st
 from visioncost.arch import DTYPES, EvalConfig, FlopConvention, ViTSpec, save_spec
 from visioncost.cli import main
 from visioncost.cost import (
+    CountTooLarge,
     cost_report,
     vit_block_activation_elems_closed,
     vit_block_flops_closed,
     vit_block_params_closed,
 )
-from visioncost.presets import vit_base, vit_small
+from visioncost.presets import PRESETS, vit_base, vit_small
 
 
 # --------------------------------------------------------------------------
@@ -331,3 +332,45 @@ class TestFullCountRows:
         with pytest.raises(AttributeError):
             row.flops = 0
         assert rep.per_layer[0].flops == row.flops > 0
+
+
+class TestTotalsOnly:
+    """``cost_report(..., rows=False)`` against the report with rows."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        batch=st.integers(1, 4),
+        depth=st.integers(0, 30),
+        tokens=st.integers(1, 32),
+        cnn_resolution=st.integers(1, 256),
+    )
+    def test_is_the_report_without_its_rows(self, batch, depth, tokens, cnn_resolution):
+        """Every preset, convention and dtype: the same report with
+        ``per_layer == ()``. No preset is infeasible at these resolutions;
+        tests/test_cost_cnn.py checks the faults on random stacks."""
+        for entry in PRESETS.values():
+            spec = entry.build()
+            vit = isinstance(spec, ViTSpec)
+            spec = spec._replace(depth=depth) if vit else spec
+            for convention in FlopConvention:
+                for dtype in DTYPES.values():
+                    cfg = EvalConfig(
+                        batch_size=batch, dtype=dtype, flop_convention=convention,
+                        input_resolution=tokens if vit else cnn_resolution,
+                    )
+                    want = cost_report(spec, cfg)._replace(per_layer=())
+                    assert cost_report(spec, cfg, rows=False) == want
+
+    @pytest.mark.parametrize("convention", list(FlopConvention))
+    @pytest.mark.parametrize(
+        "spec",
+        [vit_small()._replace(depth=2**70), vit_small()._replace(hidden_dim=6 * 10**2200)],
+        ids=["rows", "digits"],
+    )
+    def test_refuses_what_the_report_with_rows_refuses(self, spec, convention):
+        cfg = EvalConfig(flop_convention=convention)
+        with pytest.raises(CountTooLarge) as with_rows:
+            cost_report(spec, cfg)
+        with pytest.raises(CountTooLarge) as without:
+            cost_report(spec, cfg, rows=False)
+        assert str(without.value) == str(with_rows.value)

@@ -592,9 +592,9 @@ class TestBudgetMatcher:
         spec = CnnSpec("wide", 3, (Conv2d(3, 1, kernel=100_000), GlobalPool(), Linear(1, 1)))
         walked = []
 
-        def counting(spec, cfg=None):
+        def counting(spec, cfg=None, **kwargs):
             walked.append(cfg.input_resolution)
-            return cost_report(spec, cfg)
+            return cost_report(spec, cfg, **kwargs)
 
         monkeypatch.setattr(visioncost.search, "cost_report", counting)
         first = cost_report(spec, EvalConfig(input_resolution=100_000)).flops
@@ -694,10 +694,12 @@ class TestBudgetMatcher:
             K.RESOLUTION: lambda spec, cfg: cfg.input_resolution,
         }
         costed = []
+        probes = []  # every report a probe returned
 
-        def counting(spec, cfg=None):
+        def counting(spec, cfg=None, **kwargs):
             costed.append(knob_value[knob](spec, cfg))
-            return cost_report(spec, cfg)
+            probes.append(cost_report(spec, cfg, **kwargs))
+            return probes[-1]
 
         monkeypatch.setattr(visioncost.search, "cost_report", counting)
         rng = random.Random(5)
@@ -724,6 +726,8 @@ class TestBudgetMatcher:
             with contextlib.suppress(ValueError):  # no feasible value, or unreachable
                 match_flops_budget(spec, EvalConfig(), knob, rng.randint(1, 10**6), None, (1, 200))
             assert len(costed) == len(set(costed)), costed
+        # A probe reads only the totals: it builds no per-layer row.
+        assert probes and all(report.per_layer == () for report in probes)
 
     def test_hidden_values_stay_on_head_multiples(self):
         res = match_flops_budget(
